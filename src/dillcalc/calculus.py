@@ -234,6 +234,19 @@ class CurriedSeries:
         }
 
 
+def _outer_groups(dim: int, outer_dim: int, degree: int) -> list[np.ndarray]:
+    """Positions of the graded order on C^dim grouped by their outer multi-index.
+
+    Group p holds, in increasing order, the positions of the (alpha, beta) with
+    alpha the outer index at position p on C^outer_dim.  For a fixed alpha the
+    graded order on (alpha, beta) is the graded order on beta, so group p is
+    the coefficient table of the inner series at p, column for column.
+    """
+    outer = mi.rank(mi.exponent_matrix(dim, degree)[:, :outer_dim])
+    order = np.argsort(outer, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(outer))[:-1])
+
+
 def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
     """Reindex c_(alpha, beta) into a nest over the first `outer_dim` coordinates.
 
@@ -247,28 +260,17 @@ def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
             f"split {outer_dim} is not a proper split of a {m}-dimensional domain"
         )
     inner_dim = m - outer_dim
-    inner = []
-    for a in mi.enumerate_indices(outer_dim, f.degree):
-        d_inner = f.degree - a.degree()
-        pos = mi.index_positions(inner_dim, d_inner)
-        arr = np.zeros(
-            (f.codomain.dim, mi.count_indices(inner_dim, d_inner)), dtype=np.complex128
-        )
-        inner.append((a, arr, pos))
-    outer_pos = {a: i for i, (a, _, _) in enumerate(inner)}
-    for p_idx, gamma in enumerate(mi.enumerate_indices(m, f.degree)):
-        alpha = mi.MultiIndex(gamma[:outer_dim])
-        beta = mi.MultiIndex(gamma[outer_dim:])
-        _, arr, pos = inner[outer_pos[alpha]]
-        arr[:, pos[beta]] = f.coeffs[:, p_idx]
+    groups = _outer_groups(m, outer_dim, f.degree)
     return CurriedSeries(
         outer_dim,
         inner_dim,
         f.codomain.dim,
         f.degree,
         tuple(
-            TruncatedSeries(FiniteSpace(inner_dim), f.codomain, f.degree - a.degree(), arr)
-            for a, arr, _ in inner
+            TruncatedSeries(
+                FiniteSpace(inner_dim), f.codomain, f.degree - a.degree(), f.coeffs[:, cols]
+            )
+            for a, cols in zip(mi.enumerate_indices(outer_dim, f.degree), groups)
         ),
     )
 
@@ -276,11 +278,9 @@ def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
 def uncurry(c: CurriedSeries) -> TruncatedSeries:
     """Inverse reindexing; uncurry(curry(f)) == f coefficient for coefficient."""
     m = c.outer_dim + c.inner_dim
-    pos = mi.index_positions(m, c.degree)
     arr = np.zeros((c.codomain_dim, mi.count_indices(m, c.degree)), dtype=np.complex128)
-    for a, s in zip(mi.enumerate_indices(c.outer_dim, c.degree), c.inner):
-        for q_idx, beta in enumerate(mi.enumerate_indices(c.inner_dim, s.degree)):
-            arr[:, pos[mi.MultiIndex(tuple(a) + tuple(beta))]] = s.coeffs[:, q_idx]
+    for s, cols in zip(c.inner, _outer_groups(m, c.outer_dim, c.degree)):
+        arr[:, cols] = s.coeffs
     return TruncatedSeries(FiniteSpace(m), FiniteSpace(c.codomain_dim), c.degree, arr)
 
 

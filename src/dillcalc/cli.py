@@ -70,7 +70,7 @@ def _cmd_compose(args) -> int:
 def _cmd_curry(args) -> int:
     f = _read_series(args.series)
     c = ca.curry(f, args.split)
-    _write_out(json.dumps(c.to_json_dict()), args.output)
+    _write_out(json.dumps(c.to_json_dict(), allow_nan=False), args.output)
     return 0
 
 
@@ -88,7 +88,9 @@ def _cmd_check_laws(args) -> int:
     names = args.law if args.law else None
     reports = laws_mod.run_suite(config, names)
     if args.json:
-        sys.stdout.write(json.dumps([r.to_json_dict() for r in reports]) + "\n")
+        sys.stdout.write(
+            json.dumps([r.to_json_dict() for r in reports], allow_nan=False) + "\n"
+        )
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

@@ -637,4 +637,4 @@ def value_to_json_dict(value: Value) -> dict:
 
 
 def value_to_json(value: Value) -> str:
-    return json.dumps(value_to_json_dict(value))
+    return json.dumps(value_to_json_dict(value), allow_nan=False)

@@ -129,7 +129,7 @@ class Distribution:
         return {"dim": self.dim, "degree": self.degree, "coeffs": entries}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return json.dumps(self.to_json_dict(), allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Distribution":
@@ -353,12 +353,9 @@ def comultiplication(dim: int, inner_degree: int, outer_degree: int | None = Non
     inner_exps = mi.exponent_matrix(dim, inner_degree)  # (n_inner, dim)
     outer_exps = mi.exponent_matrix(n_inner, outer_degree)  # (n_outer, n_inner)
     images = outer_exps @ inner_exps  # row r: the inner multi-index hit by row r
-    pos = mi.index_positions(dim, inner_degree)
+    rows = np.flatnonzero(images.sum(axis=1) <= inner_degree)
     mat = np.zeros((n_outer, n_inner), dtype=np.complex128)
-    for r in range(n_outer):
-        gamma = mi.MultiIndex(images[r])
-        if gamma.degree() <= inner_degree:
-            mat[r, pos[gamma]] = 1.0
+    mat[rows, mi.rank(images[rows])] = 1.0
     return LinearOperator(DistBasis(dim, inner_degree), DistBasis(n_inner, outer_degree), mat)
 
 
@@ -379,19 +376,17 @@ def coweakening(dim: int, degree: int) -> LinearOperator:
 
 
 def contraction(dim: int, degree: int) -> LinearOperator:
-    """Delta: !E -> !E (x) !E splitting each extractor over all index sums."""
+    """Delta: !E -> !E (x) !E splitting each extractor over all index sums.
+
+    eps_gamma goes to the sum of eps_alpha (x) eps_beta over alpha + beta =
+    gamma: the product table read backwards.
+    """
     degree = _check_degree(degree)
     basis = DistBasis(dim, degree)
     n = basis.size
-    idx = mi.enumerate_indices(dim, degree)
-    pos = mi.index_positions(dim, degree)
+    ia, ib, ic = mi.product_table(dim, degree)
     mat = np.zeros((n * n, n), dtype=np.complex128)
-    for col, gamma in enumerate(idx):
-        for alpha in mi.enumerate_indices(dim, gamma.degree()):
-            if any(a > g for a, g in zip(alpha, gamma)):
-                continue
-            beta = gamma - alpha
-            mat[pos[alpha] * n + pos[beta], col] = 1.0
+    mat[ia * n + ib, ic] = 1.0
     return LinearOperator(basis, TensorBasis(basis, basis), mat)
 
 
@@ -400,14 +395,9 @@ def cocontraction(dim: int, degree: int) -> LinearOperator:
     degree = _check_degree(degree)
     basis = DistBasis(dim, degree)
     n = basis.size
-    idx = mi.enumerate_indices(dim, degree)
-    pos = mi.index_positions(dim, degree)
+    ia, ib, ic, w = mi.convolution_table(dim, degree)
     mat = np.zeros((n, n * n), dtype=np.complex128)
-    for i, alpha in enumerate(idx):
-        for j, beta in enumerate(idx):
-            if alpha.degree() + beta.degree() > degree:
-                continue
-            mat[pos[alpha + beta], i * n + j] = mi.binom_componentwise(alpha, beta)
+    mat[ic, ia * n + ib] = w
     return LinearOperator(TensorBasis(basis, basis), basis, mat)
 
 
@@ -420,36 +410,28 @@ def monoidal_product(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
     degree = _check_degree(degree)
     be, bf = DistBasis(dim_e, degree), DistBasis(dim_f, degree)
     target = DistBasis(dim_e + dim_f, degree)
-    pos = mi.index_positions(dim_e + dim_f, degree)
+    de = mi.degree_vector(dim_e, degree)
+    df = mi.degree_vector(dim_f, degree)
+    i, j = np.nonzero(de[:, None] + df[None, :] <= degree)
+    gamma = np.hstack(
+        [mi.exponent_matrix(dim_e, degree)[i], mi.exponent_matrix(dim_f, degree)[j]]
+    )
     mat = np.zeros((target.size, be.size * bf.size), dtype=np.complex128)
-    for i, alpha in enumerate(mi.enumerate_indices(dim_e, degree)):
-        for j, beta in enumerate(mi.enumerate_indices(dim_f, degree)):
-            if alpha.degree() + beta.degree() > degree:
-                continue
-            mat[pos[mi.MultiIndex(tuple(alpha) + tuple(beta))], i * bf.size + j] = 1.0
+    mat[mi.rank(gamma), i * bf.size + j] = 1.0
     return LinearOperator(TensorBasis(be, bf), target, mat)
 
 
 def monoidal_product_inverse(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
-    """Splits !(E x F) back into the pair of marginal extractors."""
-    degree = _check_degree(degree)
-    be, bf = DistBasis(dim_e, degree), DistBasis(dim_f, degree)
-    source = DistBasis(dim_e + dim_f, degree)
-    pos_e = mi.index_positions(dim_e, degree)
-    pos_f = mi.index_positions(dim_f, degree)
-    mat = np.zeros((be.size * bf.size, source.size), dtype=np.complex128)
-    for col, gamma in enumerate(mi.enumerate_indices(dim_e + dim_f, degree)):
-        alpha = mi.MultiIndex(gamma[:dim_e])
-        beta = mi.MultiIndex(gamma[dim_e:])
-        mat[pos_e[alpha] * bf.size + pos_f[beta], col] = 1.0
-    return LinearOperator(source, TensorBasis(be, bf), mat)
+    """Splits !(E x F) back into the pair of marginal extractors: the transpose
+    of the bijection m2."""
+    m2 = monoidal_product(dim_e, dim_f, degree)
+    return LinearOperator(m2.target, m2.source, m2.matrix.T)
 
 
 def swap_operator(left: Basis, right: Basis) -> LinearOperator:
+    i, j = np.divmod(np.arange(left.size * right.size), right.size)
     mat = np.zeros((left.size * right.size, left.size * right.size), dtype=np.complex128)
-    for i in range(left.size):
-        for j in range(right.size):
-            mat[j * left.size + i, i * right.size + j] = 1.0
+    mat[j * left.size + i, i * right.size + j] = 1.0
     return LinearOperator(TensorBasis(left, right), TensorBasis(right, left), mat)
 
 

@@ -6,12 +6,19 @@ comparison of the exponent tuples, so for dimension 2 the order starts
 (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).  Positions in this order do not
 depend on the truncation degree, so a degree-D table is a prefix of the
 degree-D' table for D' > D.  All counting is done in exact integer arithmetic.
+
+`rank` is the one place positions are computed: it maps exponent rows to
+graded positions arithmetically, and the product, convolution and derivative
+tables, the exponential structure maps, currying and series construction all
+scatter through it.  `index_positions`, a dict built from the enumeration
+alone, is kept for check-only code that must stay independent of `rank`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -62,6 +69,21 @@ def count_indices(dim: int, degree: int) -> int:
     return math.comb(dim + degree, degree)
 
 
+def _degree_block(dim: int, degree: int) -> np.ndarray:
+    """Exponent rows of total degree exactly `degree`, in graded order.
+
+    combinations_with_replacement lists the sorted coordinate tuples of length
+    `degree` in ascending lexicographic order, and their multiplicity vectors
+    come out in descending lexicographic order, which is the order inside a
+    degree block.  No recursion, so any dimension works.
+    """
+    tuples = list(combinations_with_replacement(range(dim), degree))
+    coords = np.array(tuples, dtype=np.int64).reshape(len(tuples), degree)
+    rows = np.zeros((len(tuples), dim), dtype=np.int64)
+    np.add.at(rows, (np.arange(len(tuples))[:, None], coords), 1)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def indices_of_degree(dim: int, degree: int) -> tuple[MultiIndex, ...]:
     """All multi-indices with total degree exactly `degree`, in graded order.
@@ -72,13 +94,7 @@ def indices_of_degree(dim: int, degree: int) -> tuple[MultiIndex, ...]:
     _require_dim(dim)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if dim == 1:
-        return (MultiIndex((degree,)),)
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in indices_of_degree(dim - 1, degree - first):
-            out.append(MultiIndex((first,) + tuple(rest)))
-    return tuple(out)
+    return tuple(MultiIndex(row) for row in _degree_block(dim, degree).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -93,15 +109,46 @@ def enumerate_indices(dim: int, max_degree: int) -> tuple[MultiIndex, ...]:
 
 @lru_cache(maxsize=None)
 def index_positions(dim: int, max_degree: int) -> dict[MultiIndex, int]:
+    """Dict from multi-index to position, built from the enumeration alone.
+
+    The package computes positions with `rank`; this table stays for
+    check-only code that must not share that formula.
+    """
     return {a: i for i, a in enumerate(enumerate_indices(dim, max_degree))}
+
+
+def _pascal(rows: int, cols: int) -> np.ndarray:
+    """int64 table P[j, k] = binom(j + k, k) for j < rows, k < cols."""
+    table = np.ones((rows, cols), dtype=np.int64)
+    for j in range(1, rows):
+        table[j] = np.cumsum(table[j - 1])  # hockey stick: sum_t<=k P[j-1, t]
+    return table
+
+
+def rank(exps) -> np.ndarray:
+    """Graded position of each multi-index along the last axis of `exps`.
+
+    With suffix sums r_i = alpha_i + ... + alpha_(m-1), the indices before
+    alpha are those of lower degree, count_indices(m, r_0 - 1), plus for each
+    i >= 1 those of the same degree that agree with alpha on alpha_0 ..
+    alpha_(i-2) and are larger at alpha_(i-1): count_indices(m - i, r_i - 1)
+    of them.  So the position is sum_i binom(r_i + m - i - 1, m - i), with a
+    zero term where r_i = 0.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    dim = exps.shape[-1]
+    suffix = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
+    top = int(suffix.max(initial=0))
+    counts = np.zeros((top + 1, dim + 1), dtype=np.int64)
+    counts[1:] = _pascal(top, dim + 1)  # counts[r, k] = count_indices(k, r - 1)
+    return counts[suffix, np.arange(dim, 0, -1)].sum(axis=-1)
 
 
 def position_of(alpha, max_degree: int) -> int:
     a = MultiIndex(alpha)
-    pos = index_positions(len(a), max_degree)
-    if a not in pos:
+    if a.degree() > max_degree:
         raise ValueError(f"multi-index {tuple(a)} exceeds degree {max_degree}")
-    return pos[a]
+    return int(rank(a))
 
 
 def multinomial(alpha) -> int:
@@ -132,11 +179,17 @@ def binom_componentwise(alpha, beta) -> int:
 # numpy views used by the series engine
 
 
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def exponent_matrix(dim: int, max_degree: int) -> np.ndarray:
     """Integer array of shape (count, dim); row i is the i-th multi-index."""
-    idx = enumerate_indices(dim, max_degree)
-    m = np.array([tuple(a) for a in idx], dtype=np.int64)
+    _require_dim(dim)
+    m = np.concatenate([_degree_block(dim, d) for d in range(max_degree + 1)])
     m.setflags(write=False)
     return m
 
@@ -148,58 +201,43 @@ def degree_vector(dim: int, max_degree: int) -> np.ndarray:
     return v
 
 
+def _pair_blocks(dim: int, max_degree: int):
+    """Yield (ia, ib, alpha_ia, alpha_ib) per degree block (da, db), da + db <= max_degree.
+
+    Blocks come da-major, and pairs inside a block ia-major, so every table
+    built from them lists its pairs in one fixed order.
+    """
+    exps = exponent_matrix(dim, max_degree)
+    starts = [0] + [count_indices(dim, d) for d in range(max_degree + 1)]
+    for da in range(max_degree + 1):
+        rows_a = np.arange(starts[da], starts[da + 1])
+        for db in range(max_degree - da + 1):
+            rows_b = np.arange(starts[db], starts[db + 1])
+            ia = np.repeat(rows_a, rows_b.size)
+            ib = np.tile(rows_b, rows_a.size)
+            yield ia, ib, exps[ia], exps[ib]
+
+
 @lru_cache(maxsize=None)
 def product_table(dim: int, max_degree: int):
     """Index triples (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic, all <= max_degree.
 
     Drives truncated Cauchy products: c[ic] += a[ia] * b[ib].
     """
-    pos = index_positions(dim, max_degree)
-    ia, ib, ic = [], [], []
-    # iterate degree blocks so only pairs under the degree budget are touched
-    for da in range(max_degree + 1):
-        off_a = count_indices(dim, da - 1) if da else 0
-        for db in range(max_degree - da + 1):
-            off_b = count_indices(dim, db - 1) if db else 0
-            for i, a in enumerate(indices_of_degree(dim, da), start=off_a):
-                for j, b in enumerate(indices_of_degree(dim, db), start=off_b):
-                    ia.append(i)
-                    ib.append(j)
-                    ic.append(pos[a + b])
-    out = (
-        np.array(ia, dtype=np.int64),
-        np.array(ib, dtype=np.int64),
-        np.array(ic, dtype=np.int64),
-    )
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    blocks = [(ia, ib, rank(a + b)) for ia, ib, a, b in _pair_blocks(dim, max_degree)]
+    return _frozen(*(np.concatenate(col) for col in zip(*blocks)))
 
 
 @lru_cache(maxsize=None)
 def convolution_table(dim: int, max_degree: int):
-    """Like product_table but with the componentwise binomial weight attached."""
-    pos = index_positions(dim, max_degree)
-    ia, ib, ic, w = [], [], [], []
-    for da in range(max_degree + 1):
-        off_a = count_indices(dim, da - 1) if da else 0
-        for db in range(max_degree - da + 1):
-            off_b = count_indices(dim, db - 1) if db else 0
-            for i, a in enumerate(indices_of_degree(dim, da), start=off_a):
-                for j, b in enumerate(indices_of_degree(dim, db), start=off_b):
-                    ia.append(i)
-                    ib.append(j)
-                    ic.append(pos[a + b])
-                    w.append(binom_componentwise(a, b))
-    out = (
-        np.array(ia, dtype=np.int64),
-        np.array(ib, dtype=np.int64),
-        np.array(ic, dtype=np.int64),
-        np.array(w, dtype=np.float64),
-    )
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    """The product_table triples with the weight binom_componentwise(alpha_ia, alpha_ib)."""
+    ia, ib, ic = product_table(dim, max_degree)
+    binom = _pascal(max_degree + 1, max_degree + 1)  # binom[y, x] = C(x + y, x)
+    w = np.concatenate(
+        [binom[b, a].prod(axis=1) for _, _, a, b in _pair_blocks(dim, max_degree)]
+    ).astype(np.float64)
+    w.setflags(write=False)
+    return ia, ib, ic, w
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +252,7 @@ def derivative_table(dim: int, max_degree: int, coord: int):
         raise ValueError(f"coordinate {coord} out of range for dimension {dim}")
     if max_degree < 1:
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-    pos = index_positions(dim, max_degree)
-    src, factor = [], []
-    unit = MultiIndex(1 if i == coord else 0 for i in range(dim))
-    for a in enumerate_indices(dim, max_degree - 1):
-        src.append(pos[a + unit])
-        factor.append(a[coord] + 1)
-    return (np.array(src, dtype=np.int64), np.array(factor, dtype=np.float64))
+    lower = exponent_matrix(dim, max_degree)[: count_indices(dim, max_degree - 1)]
+    raised = lower.copy()
+    raised[:, coord] += 1
+    return _frozen(rank(raised), (lower[:, coord] + 1).astype(np.float64))

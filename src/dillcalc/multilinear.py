@@ -31,29 +31,19 @@ def _tuple_positions(dim: int, arity: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(sorted_tuples(dim, arity))}
 
 
-def tuple_to_multiindex(t: tuple[int, ...], dim: int) -> mi.MultiIndex:
-    counts = [0] * dim
-    for i in t:
-        counts[i] += 1
-    return mi.MultiIndex(counts)
-
-
 @lru_cache(maxsize=None)
 def _ordered_lookup(dim: int, arity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digit table of all ordered tuples in [dim]^arity and their sorted positions."""
+    """Digit table of all ordered tuples in [dim]^arity, arity >= 1, and their
+    sorted positions.
+
+    The sorted tuple with multiplicity vector alpha sits at alpha's place in
+    the degree-`arity` block of the graded order.
+    """
     n = dim**arity
-    digits = np.zeros((n, arity), dtype=np.int64)
-    sorted_pos = np.zeros(n, dtype=np.int64)
-    pos = _tuple_positions(dim, arity)
-    for r in range(n):
-        x = r
-        t = []
-        for s in range(arity - 1, -1, -1):
-            t.append(x % dim)
-            x //= dim
-        t.reverse()
-        digits[r] = t
-        sorted_pos[r] = pos[tuple(sorted(t))]
+    digits = np.stack(np.unravel_index(np.arange(n), (dim,) * arity), axis=1)
+    counts = np.zeros((n, dim), dtype=np.int64)
+    np.add.at(counts, (np.arange(n)[:, None], digits), 1)
+    sorted_pos = mi.rank(counts) - mi.count_indices(dim, arity - 1)
     digits.setflags(write=False)
     sorted_pos.setflags(write=False)
     return digits, sorted_pos
@@ -137,17 +127,16 @@ def from_monomial(f: TruncatedSeries, arity: int | None = None) -> SymmetricMult
     restriction returns the monomial coefficients.
     """
     k = _homogeneous_arity(f, arity)
+    if k > f.degree:
+        raise ValueError(f"arity {k} exceeds the series degree {f.degree}")
     m = f.domain.dim
-    pos = mi.index_positions(m, f.degree)
-    tuples = sorted_tuples(m, k)
-    entries = np.zeros((f.codomain.dim, len(tuples)), dtype=np.complex128)
-    kfac = math.factorial(k)
-    for t_idx, t in enumerate(tuples):
-        alpha = tuple_to_multiindex(t, m)
-        scale = 1.0
-        for e in alpha:
-            scale *= math.factorial(e)
-        entries[:, t_idx] = f.coeffs[:, pos[alpha]] * (scale / kfac)
+    # sorted_tuples(m, k) lists multiplicity vectors in the order of the
+    # degree-k block, so the block is read in place
+    block = slice(mi.count_indices(m, k - 1) if k else 0, mi.count_indices(m, k))
+    alphas = mi.exponent_matrix(m, f.degree)[block]
+    factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
+    scale = factorials[alphas].prod(axis=1) / math.factorial(k)
+    entries = f.coeffs[:, block] * scale
     return SymmetricMultilinear(k, f.domain, f.codomain, entries)
 
 

@@ -113,19 +113,23 @@ class TruncatedSeries:
     def from_terms(cls, dom_dim: int, cod_dim: int, degree: int, terms) -> "TruncatedSeries":
         """Build from a mapping {(out_component, alpha): coefficient}."""
         degree = _check_degree(degree)
-        pos = mi.index_positions(dom_dim, degree)
-        arr = np.zeros((cod_dim, mi.count_indices(dom_dim, degree)), dtype=np.complex128)
+        outs, rows, values = [], [], []
         for (j, alpha), value in terms.items():
             a = mi.MultiIndex(alpha)
             if len(a) != dom_dim:
                 raise ValueError(
                     f"multi-index {tuple(a)} has dimension {len(a)}, expected {dom_dim}"
                 )
-            if a not in pos:
+            if a.degree() > degree:
                 raise ValueError(f"multi-index {tuple(a)} exceeds degree {degree}")
             if not 0 <= j < cod_dim:
                 raise ValueError(f"output component {j} out of range")
-            arr[j, pos[a]] = value
+            outs.append(j)
+            rows.append(a)
+            values.append(value)
+        arr = np.zeros((cod_dim, mi.count_indices(dom_dim, degree)), dtype=np.complex128)
+        if rows:
+            arr[outs, mi.rank(rows)] = values
         return cls(FiniteSpace(dom_dim), FiniteSpace(cod_dim), degree, arr)
 
     @classmethod
@@ -276,7 +280,7 @@ class TruncatedSeries:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return json.dumps(self.to_json_dict(), allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedSeries":
@@ -289,10 +293,18 @@ class TruncatedSeries:
             raise ValueError(f"malformed series JSON: {exc}") from exc
         terms = {}
         for item in raw:
-            alpha = tuple(int(e) for e in item["alpha"])
-            terms[(int(item.get("out", 0)), alpha)] = complex(
-                float(item.get("re", 0.0)), float(item.get("im", 0.0))
-            )
+            key = (int(item.get("out", 0)), tuple(int(e) for e in item["alpha"]))
+            if key in terms:
+                raise ValueError(
+                    f"malformed series JSON: repeated entry out={key[0]} alpha={list(key[1])}"
+                )
+            real, imag = float(item.get("re", 0.0)), float(item.get("im", 0.0))
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise ValueError(
+                    f"malformed series JSON: non-finite coefficient at "
+                    f"out={key[0]} alpha={list(key[1])}"
+                )
+            terms[key] = complex(real, imag)
         return cls.from_terms(dom, cod, degree, terms)
 
     @classmethod

@@ -16,6 +16,15 @@ def iter_indices(dim, degree):
             yield tup
 
 
+def graded_order(dim, degree):
+    """Indices sorted by degree, then descending lexicographically."""
+    return sorted(iter_indices(dim, degree), key=lambda t: (sum(t), [-e for e in t]))
+
+
+def graded_positions(dim, degree):
+    return {t: i for i, t in enumerate(graded_order(dim, degree))}
+
+
 def bp_zero():
     return {}
 

@@ -215,6 +215,52 @@ def test_series_json_shape_is_stable(tmp_path, capsys):
     assert data["coeffs"] == [{"out": 0, "alpha": [1, 1], "re": 1.5, "im": 0.0}]
 
 
+def test_diff_high_dimension_does_not_recurse(tmp_path, capsys):
+    # the graded enumeration once recursed once per coordinate
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "domain_dim": 900, "codomain_dim": 1, "degree": 1,
+        "coeffs": [{"out": 0, "alpha": [0] * 899 + [1], "re": 3.0, "im": 0.0}],
+    }))
+    assert main(["diff", str(path), "--coord", "899"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["coeffs"] == [{"out": 0, "alpha": [0] * 900, "re": 3.0, "im": 0.0}]
+    assert main(["diff", str(path), "--coord", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == []
+
+
+def test_series_json_repeated_entry_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    entry = {"out": 0, "alpha": [1], "re": 1.0, "im": 0.0}
+    path.write_text(json.dumps({
+        "domain_dim": 1, "codomain_dim": 1, "degree": 2,
+        "coeffs": [entry, dict(entry, re=2.0)],
+    }))
+    assert main(["diff", str(path), "--coord", "0"]) == 1
+    assert "repeated entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e999"])
+def test_series_json_non_finite_rejected(tmp_path, capsys, value):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"domain_dim": 1, "codomain_dim": 1, "degree": 2, '
+        f'"coeffs": [{{"out": 0, "alpha": [1], "re": 1.0, "im": {value}}}]}}'
+    )
+    assert main(["diff", str(path), "--coord", "0"]) == 1
+    assert "non-finite coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_result_is_not_written(capsys):
+    with _stdin_text("(scale 1e308 [10 0])"):
+        code = main(["eval", "-"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
 class _stdin_text:
     def __init__(self, text):
         self.text = text

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dillcalc import multiindex as mi
 
@@ -30,11 +30,17 @@ def test_enumeration_matches_brute_set():
             assert got == set(iter_indices(dim, deg))
 
 
-@given(st.integers(1, 3), st.integers(0, 6), st.data())
-def test_position_roundtrip(dim, deg, data):
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 10**6))
+@example(15, 4, 3000)
+@example(900, 1, 899)
+def test_position_roundtrip(dim, deg, k):
     idx = mi.enumerate_indices(dim, deg)
-    k = data.draw(st.integers(0, len(idx) - 1))
+    k %= len(idx)
     assert mi.position_of(idx[k], deg) == k
+    ranks = mi.rank(mi.exponent_matrix(dim, deg))
+    np.testing.assert_array_equal(ranks, np.arange(len(idx)))
+    with pytest.raises(ValueError, match="exceeds degree"):
+        mi.position_of((0,) * (dim - 1) + (deg + 1,), deg)
 
 
 def test_degree_blocks_are_prefixes():
