@@ -24,6 +24,7 @@ distribution or coordinate vector.  `let` is only allowed at the top level.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -95,6 +96,11 @@ Node = Union[Num, Sym, Vec, CoeffMap, ListForm]
 # ---------------------------------------------------------------------------
 # tokenizer and reader
 
+# Deepest nesting of (), [] and {} the recursive reader accepts.  Evaluation
+# and formatting recurse once or twice per level, so input within it stays
+# well inside Python's default recursion limit.
+MAX_NESTING = 200
+
 _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _SYM_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_\-]*")
 
@@ -153,10 +159,18 @@ def tokenize(text: str) -> List[_Token]:
     return out
 
 
-def _num_value(text: str) -> Union[int, float]:
-    if re.fullmatch(r"[+-]?\d+", text):
-        return int(text)
-    return float(text)
+def _num_value(tok: _Token) -> Union[int, float]:
+    """The value of a number token.  A literal past the float range, or with
+    more digits than int() reads, is refused here with its location rather
+    than flowing on as infinity."""
+    try:
+        value = int(tok.text) if re.fullmatch(r"[+-]?\d+", tok.text) else float(tok.text)
+        if math.isfinite(value):  # an int past the float range overflows here
+            return value
+    except (OverflowError, ValueError):  # ValueError: too many digits for int()
+        pass
+    shown = tok.text if len(tok.text) <= 24 else tok.text[:20] + "..."
+    raise ParseError(f"number {shown!r} is out of range", tok.line, tok.col)
 
 
 class _Reader:
@@ -178,10 +192,12 @@ class _Reader:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def read_form(self) -> Node:
+    def read_form(self, depth: int = 0) -> Node:
         tok = self.next()
+        if depth >= MAX_NESTING and tok.kind in ("(", "[", "{"):
+            raise ParseError(f"forms nest deeper than {MAX_NESTING} levels", tok.line, tok.col)
         if tok.kind == "num":
-            return Num(_num_value(tok.text), tok.line, tok.col)
+            return Num(_num_value(tok), tok.line, tok.col)
         if tok.kind == "sym":
             return Sym(tok.text, tok.line, tok.col)
         if tok.kind == "(":
@@ -189,7 +205,7 @@ class _Reader:
             while self.peek().kind != ")":
                 if self.peek().kind == "eof":
                     raise ParseError("unclosed '('", tok.line, tok.col)
-                items.append(self.read_form())
+                items.append(self.read_form(depth + 1))
             self.next()
             return ListForm(tuple(items), tok.line, tok.col)
         if tok.kind == "[":
@@ -202,7 +218,7 @@ class _Reader:
                         inner.line,
                         inner.col,
                     )
-                values.append(_num_value(inner.text))
+                values.append(_num_value(inner))
             self.next()
             if len(values) % 2:
                 raise ParseError(
@@ -215,7 +231,7 @@ class _Reader:
             entries = []
             while self.peek().kind != "}":
                 key_tok = self.peek()
-                key = self.read_form()
+                key = self.read_form(depth + 1)
                 if not isinstance(key, ListForm) or not all(
                     isinstance(x, Num) and isinstance(x.value, int) for x in key.items
                 ):
@@ -225,7 +241,7 @@ class _Reader:
                         key_tok.col,
                     )
                 self.expect("->")
-                val = self.read_form()
+                val = self.read_form(depth + 1)
                 if not isinstance(val, (Num, Vec)):
                     raise ParseError(
                         "coefficient values are numbers or [re im] pairs",

@@ -140,9 +140,32 @@ class Distribution:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed distribution JSON: {exc}") from exc
         arr = np.zeros(mi.count_indices(dim, degree), dtype=np.complex128)
+        entries = {}
         for item in raw:
-            p = mi.position_of(tuple(int(e) for e in item["alpha"]), degree)
-            arr[p] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            alpha = tuple(int(e) for e in item["alpha"])
+            if len(alpha) != dim:
+                raise ValueError(
+                    f"malformed distribution JSON: alpha {list(alpha)} has length "
+                    f"{len(alpha)}, expected {dim}"
+                )
+            if alpha in entries:
+                raise ValueError(
+                    f"malformed distribution JSON: repeated entry alpha={list(alpha)}"
+                )
+            real, imag = float(item.get("re", 0.0)), float(item.get("im", 0.0))
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise ValueError(
+                    f"malformed distribution JSON: non-finite coefficient at alpha={list(alpha)}"
+                )
+            entries[alpha] = complex(real, imag)
+        exps = np.array(list(entries), dtype=np.int64).reshape(-1, dim)
+        bad = (exps.min(axis=1, initial=0) < 0) | (exps.sum(axis=1) > degree)
+        if bad.any():
+            raise ValueError(
+                f"malformed distribution JSON: alpha {exps[np.argmax(bad)].tolist()} "
+                f"is not a multi-index of degree <= {degree}"
+            )
+        arr[mi.rank(exps)] = list(entries.values())
         return cls(dim, degree, arr)
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dillcalc import dsl
 from dillcalc.cli import main
 from dillcalc.series import TruncatedSeries
 
@@ -259,6 +260,29 @@ def test_non_finite_result_is_not_written(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not JSON compliant" in captured.err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+def test_eval_non_finite_literal_rejected(capsys, literal):
+    with _stdin_text("(series :dom 1 :cod 1 :deg 2\n  {(1) -> " + literal + "})"):
+        code = main(["eval", "-"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2, col 11" in captured.err and "out of range" in captured.err
+
+
+def test_eval_deep_nesting_rejected(capsys):
+    # the recursive reader once died with RecursionError (exit 2) here
+    with _stdin_text("(" * 5000):
+        code = main(["eval", "-"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"line 1, col {dsl.MAX_NESTING + 1}: forms nest deeper" in err
+    depth = dsl.MAX_NESTING - 1
+    with _stdin_text("(add [1 0] " * depth + "[1 0]" + ")" * depth):
+        assert main(["eval", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [[dsl.MAX_NESTING, 0.0]]
 
 
 class _stdin_text:

@@ -77,6 +77,18 @@ def test_parse_rejects_trailing_and_unclosed():
         parse("{(1) -> (add 1 2)}")
 
 
+def test_reader_refuses_out_of_range_numbers_and_deep_nesting():
+    with pytest.raises(ParseError, match=r"line 1, col 7: number '1e400' is out of range"):
+        parse("[1 0  1e400 0]")
+    with pytest.raises(ParseError, match="out of range"):
+        parse("-" + "9" * 5000)
+    assert parse("[1e308 0]") == Vec((1e308, 0))
+    limit = dsl.MAX_NESTING
+    assert isinstance(parse("(" * limit + ")" * limit), ListForm)
+    with pytest.raises(ParseError, match=f"col {limit + 1}: forms nest deeper than {limit}"):
+        parse("(" * limit + "{}" + ")" * limit)
+
+
 def test_parse_program_reads_many_forms():
     forms = parse_program("(let x 1)\nx\n; done\n")
     assert len(forms) == 2

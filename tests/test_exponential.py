@@ -124,6 +124,24 @@ def test_distribution_json_roundtrip():
         xp.Distribution.from_json_dict({"dim": 2})
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([{"alpha": [1, 0], "re": 1.0}, {"alpha": [1, 0], "re": 2.0}], "repeated entry"),
+        ([{"alpha": [1, 0], "re": float("nan")}], "non-finite"),
+        ([{"alpha": [1, 0], "im": float("inf")}], "non-finite"),
+        ([{"alpha": [1, 0, 0], "re": 1.0}], "has length 3, expected 2"),
+        ([{"alpha": [1], "re": 1.0}], "has length 1, expected 2"),
+        ([{"alpha": [2, 1], "re": 1.0}], "degree <= 2"),
+        ([{"alpha": [-1, 1], "re": 1.0}], "degree <= 2"),
+    ],
+    ids=["repeated", "nan", "inf", "long-alpha", "short-alpha", "over-degree", "negative"],
+)
+def test_distribution_json_malformed_entries(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        xp.Distribution.from_json_dict({"dim": 2, "degree": 2, "coeffs": coeffs})
+
+
 def test_codereliction_is_first_extractor():
     v = np.array([2.0, -1j])
     d = xp.codereliction(v, 3)

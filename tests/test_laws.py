@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dillcalc import calculus as ca
+from dillcalc import exponential as xp
 from dillcalc import laws
 
 EXPECTED_LAWS = [
@@ -98,6 +99,61 @@ def test_corrupted_compose_is_caught(monkeypatch):
     assert report.max_error > report.tolerance
     monkeypatch.undo()
     assert laws.run_law("compose-associativity", laws.LawConfig()).passed
+
+
+STRUCTURE_LAWS = [
+    "bialgebra-contraction-laws",
+    "bialgebra-cocontraction-laws",
+    "bialgebra-compatibility",
+    "monoidality-bijection",
+]
+
+
+def _extra_one(mat):
+    mat[0, -1] = 1.0
+
+
+def _bump_largest_weight(mat):
+    mat[np.unravel_index(np.argmax(mat.real), mat.shape)] += 1.0
+
+
+@pytest.mark.parametrize(
+    "operator, corrupt, caught_by",
+    [
+        ("contraction", _extra_one, ["bialgebra-contraction-laws", "bialgebra-compatibility"]),
+        (
+            "cocontraction",
+            _bump_largest_weight,
+            ["bialgebra-cocontraction-laws", "bialgebra-compatibility"],
+        ),
+        ("monoidal_product", _extra_one, ["monoidality-bijection"]),
+    ],
+    ids=["contraction", "cocontraction", "monoidal_product"],
+)
+def test_corrupted_structure_map_is_caught(monkeypatch, operator, corrupt, caught_by):
+    original = getattr(xp, operator)
+
+    def crooked(*args):
+        op = original(*args)
+        mat = np.array(op.matrix)
+        corrupt(mat)
+        return xp.LinearOperator(op.source, op.target, mat)
+
+    monkeypatch.setattr(xp, operator, crooked)
+    cfg = laws.LawConfig(dim=2, degree=3)
+    for name in caught_by:
+        report = laws.run_law(name, cfg)
+        assert not report.passed, name
+        assert report.max_error > report.tolerance
+    monkeypatch.undo()
+    assert all(r.passed for r in laws.run_suite(cfg, STRUCTURE_LAWS))
+
+
+def test_structure_laws_exact_at_largest_config():
+    reports = laws.run_suite(laws.LawConfig(dim=3, degree=6), STRUCTURE_LAWS)
+    assert [(r.name, r.passed, r.max_error) for r in reports] == [
+        (name, True, 0.0) for name in STRUCTURE_LAWS
+    ]
 
 
 def test_small_configs_pass():
