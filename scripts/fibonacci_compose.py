@@ -3,9 +3,10 @@
 
 Substituting g(x) = x + x^2 into the geometric series f(y) = sum_k y^k gives
 h(x) = 1 / (1 - x - x^2), whose coefficients are the Fibonacci numbers.  The
-composite is computed with the symmetric-tensor contraction path and checked
-against the recurrence exactly, so any drift in the composition kernel shows
-up as an integer mismatch rather than a float tolerance question.
+composite is computed by `compose`, which multiplies the coefficients of f by
+the power table of g, and checked against the recurrence exactly, so any drift
+in the composition kernel shows up as an integer mismatch rather than a float
+tolerance question.  The test suite runs it at degree 8.
 
     python3 scripts/fibonacci_compose.py --degree 8
 """

@@ -1,23 +1,20 @@
 """Composition, currying and differentiation of truncated series.
 
-Composition is computed degreewise: the degree-m part of f(g(x)) is
-
-    h_m = sum over n of sum over k_1 + ... + k_n = m of
-          f~_n(g_{k_1}, ..., g_{k_n})
-
-where f~_n is the symmetric n-linear form of the degree-n part of f and the
-g_k are the homogeneous parts of g.  A nonzero constant part of g makes the
-sum over n unbounded, so it is rejected unless the caller declares the outer
-series to be an exact polynomial.  `compose_naive` substitutes g into each
-monomial of f with repeated truncated products and serves as the independent
-oracle for the degreewise route.
+Composition goes through promotion.  In the model a series g is a linear map
+out of the distributions, and the row of !g at beta is the power g^beta, so
+coeffs(f o g) = f^ . !g: the coefficient table of f times the power table of g
+(`TruncatedSeries.power_table`).  When g(0) = 0 the power g^beta starts at
+degree |beta|, so only the coefficients of f up to the output degree count.  A
+nonzero constant part of g lets every coefficient of f reach every output
+coefficient, so it is rejected unless the caller declares the outer series to
+be an exact polynomial.  `compose_naive` substitutes g into each monomial of f
+with repeated truncated products and serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,71 +23,13 @@ from . import multilinear as ml
 from .series import FiniteSpace, TruncatedSeries
 
 
-@lru_cache(maxsize=None)
-def degree_splits(total: int, parts: int, minimum: int) -> tuple[tuple[int, ...], ...]:
-    """Nondecreasing tuples of `parts` integers >= minimum summing to `total`."""
-
-    def rec(tot, left, lo):
-        if left == 0:
-            return [()] if tot == 0 else []
-        out = []
-        for first in range(lo, tot + 1):
-            for rest in rec(tot - first, left - 1, first):
-                out.append((first,) + rest)
-        return out
-
-    return tuple(tuple(t) for t in rec(total, parts, minimum))
-
-
-def _orderings(split: tuple[int, ...]) -> int:
-    """Number of ordered tuples with the multiset of entries of `split`."""
-    counts: dict[int, int] = {}
-    for k in split:
-        counts[k] = counts.get(k, 0) + 1
-    out = math.factorial(len(split))
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
-
-
-def _tensor_on_series(tensor: ml.SymmetricMultilinear, args, p_dim: int, degree: int) -> np.ndarray:
-    """Contract a symmetric form against series-valued arguments.
-
-    args[l] is the (m, count) coefficient table of a series C^p -> C^m; the
-    result is the (n, count) table of f~(args_1(x), ..., args_k(x)).  Ordered
-    coordinate tuples are walked depth first so slot products of the scalar
-    component series are shared along common prefixes.
-    """
-    m = tensor.domain.dim
-    n_out = tensor.codomain.dim
-    count = mi.count_indices(p_dim, degree)
-    ia, ib, ic = mi.product_table(p_dim, degree)
-    weights = np.zeros((tensor.entries.shape[1], count), dtype=np.complex128)
-    one = np.zeros(count, dtype=np.complex128)
-    one[0] = 1.0
-    pos = ml._tuple_positions(m, tensor.arity)
-
-    def rec(slot, path, prefix):
-        if slot == tensor.arity:
-            weights[pos[tuple(sorted(path))]] += prefix
-            return
-        for i in range(m):
-            comp = args[slot][i]
-            nxt = np.zeros(count, dtype=np.complex128)
-            np.add.at(nxt, ic, prefix[ia] * comp[ib])
-            if np.any(nxt):
-                rec(slot + 1, path + (i,), nxt)
-
-    rec(0, (), one)
-    return tensor.entries @ weights
-
-
 def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:
     """f after g, truncated at min(f.degree, g.degree).
 
     Exact for all total degrees <= the output degree when g(0) = 0.  When
     g(0) != 0 the caller must flag f as an exact polynomial; otherwise the
     truncated outer coefficients do not determine any output coefficient.
+    The result is the coefficient table of f times the power table of g.
     """
     if g.codomain.dim != f.domain.dim:
         raise ValueError(
@@ -103,30 +42,9 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = Fal
     if constant_inner and not outer_polynomial:
         raise ValueError("constant term requires polynomial outer series")
 
-    p = g.domain.dim
-    n_out = f.codomain.dim
-    out = np.zeros((n_out, mi.count_indices(p, deg)), dtype=np.complex128)
-    g_parts = [g.homogeneous_part(k).coeffs for k in range(deg + 1)]
-    minimum = 0 if constant_inner else 1
-    tensors: dict[int, ml.SymmetricMultilinear] = {}
-
-    for m_deg in range(deg + 1):
-        n_top = f.degree if constant_inner else m_deg
-        for n_deg in range(n_top + 1):
-            if n_deg == 0:
-                if m_deg == 0:
-                    out[:, 0] += f.coeffs[:, 0]
-                continue
-            if n_deg not in tensors:
-                tensors[n_deg] = ml.from_monomial(f.homogeneous_part(n_deg), n_deg)
-            tensor = tensors[n_deg]
-            if not np.any(tensor.entries):
-                continue
-            for split in degree_splits(m_deg, n_deg, minimum):
-                args = [g_parts[k] for k in split]
-                term = _tensor_on_series(tensor, args, p, deg)
-                out += _orderings(split) * term
-    return TruncatedSeries(g.domain, f.codomain, deg, out)
+    top = f.degree if constant_inner else deg
+    rows = mi.count_indices(f.domain.dim, top)
+    return TruncatedSeries(g.domain, f.codomain, deg, f.coeffs[:, :rows] @ g.power_table(top))
 
 
 def compose_naive(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:

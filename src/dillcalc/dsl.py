@@ -19,6 +19,7 @@ uncurry, diff, eval, dirac, theta, conv, coder, bang, hat, check, add, scale,
 mul.  `eval` applies whatever its first argument is: a series or curried
 series to point vectors, a distribution to a series, an operator to a
 distribution or coordinate vector.  `let` is only allowed at the top level.
+A form whose result leaves the float range is an EvalError at that form.
 """
 
 from __future__ import annotations
@@ -395,8 +396,24 @@ def evaluate_term(node: Node, env: Optional[Dict[str, Value]] = None) -> Value:
     if not isinstance(head, Sym):
         raise EvalError("a form starts with an operation name", *_loc(node))
     op = head.name
-    args = node.items[1:]
+    # an overflow is reported at the form where it happens, not as a numpy
+    # warning followed by a JSON error far from its source
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _apply_op(node, op, node.items[1:], env)
+    if not _all_finite(value):
+        raise EvalError(f"{op}: result is outside the float range", *_loc(node))
+    return value
 
+
+def _all_finite(value: Value) -> bool:
+    if isinstance(value, ca.CurriedSeries):
+        return all(_all_finite(s) for s in value.inner)
+    if isinstance(value, xp.LinearOperator):
+        return bool(np.isfinite(value.matrix).all())
+    return bool(np.isfinite(getattr(value, "coeffs", value)).all())
+
+
+def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
     if op == "let":
         raise EvalError("let is only allowed at the top level", *_loc(node))
 

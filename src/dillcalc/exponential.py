@@ -477,9 +477,9 @@ def codereliction_operator(dim: int, degree: int) -> LinearOperator:
 def bang_map(f: TruncatedSeries, degree: int) -> LinearOperator:
     """!f: !E -> !F with entry (beta, alpha) the alpha coefficient of f(x)^beta.
 
-    Needs f truncated at least to `degree`; each row is a truncated product of
-    powers of the component series of f.  Sends delta_x to delta_(f(x)) up to
-    truncation when f(0) = 0, exactly when f is linear.
+    Needs f truncated at least to `degree`; the matrix is the power table of
+    f, the same one `calculus.compose` multiplies by.  Sends delta_x to
+    delta_(f(x)) up to truncation when f(0) = 0, exactly when f is linear.
     """
     degree = _check_degree(degree)
     if f.degree < degree:
@@ -487,25 +487,9 @@ def bang_map(f: TruncatedSeries, degree: int) -> LinearOperator:
             f"series degree {f.degree} below the promotion degree {degree}"
         )
     f = f.truncate(degree)
-    m, n = f.domain.dim, f.codomain.dim
-    source = DistBasis(m, degree)
-    target = DistBasis(n, degree)
-    one = TruncatedSeries.constant([1.0], m, degree)
-    powers = []
-    for j in range(n):
-        comp = f.component(j)
-        row = [one]
-        for _ in range(degree):
-            row.append(row[-1].pointwise_multiply(comp))
-        powers.append(row)
-    mat = np.zeros((target.size, source.size), dtype=np.complex128)
-    for r, beta in enumerate(mi.enumerate_indices(n, degree)):
-        term = one
-        for j, e in enumerate(beta):
-            if e:
-                term = term.pointwise_multiply(powers[j][e])
-        mat[r] = term.coeffs[0]
-    return LinearOperator(source, target, mat)
+    return LinearOperator(
+        DistBasis(f.domain.dim, degree), DistBasis(f.codomain.dim, degree), f.power_table(degree)
+    )
 
 
 def bang_linear(matrix, degree: int) -> LinearOperator:

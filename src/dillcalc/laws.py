@@ -496,19 +496,6 @@ def _law_compose_identity(config: LawConfig, rng) -> Tuple[float, float, dict]:
     return worst, TOL_EXACT, {"dim": config.dim, "degree": config.degree}
 
 
-@law("composition-tuple-count")
-def _law_split_count(config: LawConfig, rng) -> Tuple[float, float, dict]:
-    worst = 0
-    for parts in range(1, 6):
-        for total in range(0, 9):
-            pos = sum(ca._orderings(s) for s in ca.degree_splits(total, parts, minimum=1))
-            wanted = math.comb(total - 1, parts - 1) if total >= 1 else 0
-            worst = max(worst, abs(pos - wanted))
-            free = sum(ca._orderings(s) for s in ca.degree_splits(total, parts, minimum=0))
-            worst = max(worst, abs(free - math.comb(total + parts - 1, parts - 1)))
-    return float(worst), TOL_EXACT, {"parts": "1..5", "totals": "0..8"}
-
-
 @law("curry-uncurry-roundtrip")
 def _law_curry_roundtrip(config: LawConfig, rng) -> Tuple[float, float, dict]:
     dim = max(config.dim, 2)

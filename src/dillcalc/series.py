@@ -212,6 +212,49 @@ class TruncatedSeries:
         np.add.at(out, ic, a[ia] * b[ib])
         return TruncatedSeries(self.domain, FiniteSpace(1), deg, out[None, :])
 
+    def power_table(self, max_exponent: int) -> np.ndarray:
+        """Coefficients of the powers g^beta = prod_j g_j^beta_j for |beta| <= max_exponent.
+
+        Row r belongs to the r-th multi-index beta of the graded order on the
+        codomain and holds the coefficients of g^beta, truncated at this
+        series' degree.  Row beta is its parent beta - e_j, with j the last
+        nonzero coordinate of beta, times g_j.  With j outer and |beta| inner
+        every parent is built before it is read, and each batch of rows is one
+        Cauchy product by g_j: the product triples sorted by target position,
+        restricted to the nonzero entries of g_j and of the parents, summed
+        with reduceat.
+        """
+        n = self.codomain.dim
+        exps = mi.exponent_matrix(n, max_exponent)[1:]
+        last = n - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
+        parents = exps.copy()
+        parents[np.arange(len(exps)), last] -= 1
+        parent = mi.rank(parents)
+        degree = exps.sum(axis=1)
+        rows = np.arange(1, len(exps) + 1)
+
+        ia, ib, ic = mi.product_table(self.domain.dim, self.degree)
+        order = np.argsort(ic, kind="stable")
+        ia, ib, ic = ia[order], ib[order], ic[order]
+        table = np.zeros((len(exps) + 1, self.coeffs.shape[1]), dtype=np.complex128)
+        table[0, 0] = 1.0
+        for j in range(n):
+            keep = self.coeffs[j, ib] != 0
+            ja, jc, jw = ia[keep], ic[keep], self.coeffs[j, ib[keep]]
+            for k in range(1, max_exponent + 1):
+                batch = (last == j) & (degree == k)
+                if not batch.any():
+                    continue
+                src = table[parent[batch]]
+                live = np.any(src != 0, axis=0)[ja]
+                a, c, w = ja[live], jc[live], jw[live]
+                if a.size:
+                    starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+                    table[rows[batch, None], c[starts]] = np.add.reduceat(
+                        src[:, a] * w, starts, axis=1
+                    )
+        return table
+
     def partial_derivative(self, coord: int) -> "TruncatedSeries":
         """d/dx_coord, one degree lower; the derivative of a degree-0 table is zero."""
         if self.degree == 0:

@@ -1,13 +1,18 @@
-import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dillcalc import calculus as ca
+from dillcalc import laws
 from dillcalc.series import TruncatedSeries
 
 from brute import bp_compose, from_series, iter_indices, max_mismatch
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 coeff_st = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -98,30 +103,43 @@ def test_compose_identity_both_sides():
     np.testing.assert_array_equal(right.coeffs, f.coeffs)
 
 
-def test_degree_splits():
-    splits = ca.degree_splits(4, 2, minimum=1)
-    assert splits == ((1, 3), (2, 2))
-    assert ca.degree_splits(3, 1, minimum=1) == ((3,),)
-    assert ca.degree_splits(0, 2, minimum=1) == ()
-    assert ca.degree_splits(0, 0, minimum=1) == ((),)
-    # nondecreasing and summing correctly
-    for s in ca.degree_splits(6, 3, minimum=1):
-        assert list(s) == sorted(s) and sum(s) == 6
+@pytest.mark.parametrize("dim,deg", [(4, 8), (6, 6), (3, 10)])
+def test_compose_matches_naive_at_stall_sizes(monkeypatch, dim, deg):
+    monkeypatch.setenv("DILL_SERIES_MAX_DEGREE", "10")
+    rng = np.random.default_rng(dim * 100 + deg)
+    f = laws.random_series(rng, dim, 2, deg)
+    g = laws.random_series(rng, dim, dim, deg, zero_constant=True)
+    fast = ca.compose(f, g)
+    slow = ca.compose_naive(f, g)
+    assert fast.degree == deg
+    assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-9
 
 
-def test_orderings_multinomial():
-    assert ca._orderings((1, 3)) == 2
-    assert ca._orderings((2, 2)) == 1
-    assert ca._orderings((1, 1, 2)) == 3
-    assert ca._orderings(()) == 1
+@pytest.mark.parametrize("dim,f_deg,g_deg", [(2, 8, 4), (3, 6, 3), (4, 5, 2)])
+def test_compose_polynomial_outer_above_inner_degree(dim, f_deg, g_deg):
+    # with a constant inner term every coefficient of f reaches the output,
+    # including those above the output degree
+    rng = np.random.default_rng(dim * 100 + f_deg)
+    f = laws.random_series(rng, dim, 2, f_deg)
+    g = laws.random_series(rng, dim, dim, g_deg)
+    assert np.all(g.constant_term() != 0)
+    fast = ca.compose(f, g, outer_polynomial=True)
+    slow = ca.compose_naive(f, g, outer_polynomial=True)
+    assert fast.degree == g_deg
+    assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-9
+    low = ca.compose(f.truncate(g_deg), g, outer_polynomial=True)
+    assert np.max(np.abs(fast.coeffs - low.coeffs)) > 1e-3
 
 
-def test_weak_composition_count():
-    # stars-and-bars: weak compositions of m into n slots
-    for m in range(0, 7):
-        for n in range(1, 7):
-            total = sum(ca._orderings(s) for s in ca.degree_splits(m, n, minimum=0))
-            assert total == math.comb(m + n - 1, m)
+def test_fibonacci_script_is_exact():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "fibonacci_compose.py"), "--degree", "8"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all coefficients exact" in proc.stdout
 
 
 def test_curry_frozen_example():

@@ -184,7 +184,7 @@ def test_diff_full_jacobian(tmp_path, capsys):
 def test_check_laws_json(capsys):
     assert main(["check-laws", "--dim", "1", "--deg", "2", "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)
-    assert len(reports) == 41
+    assert len(reports) == 40
     assert all(r["passed"] for r in reports)
     assert {"name", "params", "max_error", "tolerance", "passed", "runtime_ms"} <= set(reports[0])
 
@@ -193,9 +193,9 @@ def test_check_laws_default_table(capsys):
     assert main(["check-laws"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.startswith("PASS") or l.startswith("FAIL")]
-    assert len(lines) == 41
+    assert len(lines) == 40
     assert all(l.startswith("PASS") for l in lines)
-    assert out.strip().endswith("41/41 laws passed")
+    assert out.strip().endswith("40/40 laws passed")
 
 
 def test_check_laws_bad_dim(capsys):
@@ -252,14 +252,33 @@ def test_series_json_non_finite_rejected(tmp_path, capsys, value):
     assert "non-finite coefficient" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_result_is_not_written(capsys):
     with _stdin_text("(scale 1e308 [10 0])"):
         code = main(["eval", "-"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not JSON compliant" in captured.err
+    assert "line 1, col 1: scale: result is outside the float range" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(scale 1e308 [10 0])",
+        "(scale 1e308 (series :dom 1 :cod 1 :deg 2 {(1) -> 10}))",
+        "(add [1e308 0] [1e308 0])",
+        "(compose (series :dom 1 :cod 1 :deg 2 {(2) -> 1})\n"
+        "         (series :dom 1 :cod 1 :deg 2 {(1) -> 1e200}))",
+    ],
+)
+def test_eval_overflow_is_an_error_without_warning(text):
+    # numpy's overflow warning once reached stderr ahead of the JSON error
+    proc = run_cli("eval", "-", stdin=text)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line ")
+    assert "result is outside the float range" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])

@@ -6,6 +6,7 @@ import pytest
 from dillcalc import calculus as ca
 from dillcalc import exponential as xp
 from dillcalc import laws
+from dillcalc.series import TruncatedSeries
 
 EXPECTED_LAWS = [
     "multiindex-count",
@@ -23,7 +24,6 @@ EXPECTED_LAWS = [
     "compose-matches-naive",
     "compose-associativity",
     "compose-identity",
-    "composition-tuple-count",
     "curry-uncurry-roundtrip",
     "curry-evaluation",
     "curry-split-slot-reference",
@@ -117,6 +117,11 @@ def _bump_largest_weight(mat):
     mat[np.unravel_index(np.argmax(mat.real), mat.shape)] += 1.0
 
 
+def _extra_one_on_unit(mat):
+    # column 1 is the unit extractor eps_(e_0), which codereliction reaches
+    mat[0, 1] = 1.0
+
+
 @pytest.mark.parametrize(
     "operator, corrupt, caught_by",
     [
@@ -127,8 +132,14 @@ def _bump_largest_weight(mat):
             ["bialgebra-cocontraction-laws", "bialgebra-compatibility"],
         ),
         ("monoidal_product", _extra_one, ["monoidality-bijection"]),
+        ("bang_map", _extra_one, ["bang-functoriality", "adjunction-naturality"]),
+        (
+            "comultiplication",
+            _extra_one_on_unit,
+            ["comonad-counit-laws", "codereliction-digging"],
+        ),
     ],
-    ids=["contraction", "cocontraction", "monoidal_product"],
+    ids=["contraction", "cocontraction", "monoidal_product", "bang_map", "comultiplication"],
 )
 def test_corrupted_structure_map_is_caught(monkeypatch, operator, corrupt, caught_by):
     original = getattr(xp, operator)
@@ -146,7 +157,25 @@ def test_corrupted_structure_map_is_caught(monkeypatch, operator, corrupt, caugh
         assert not report.passed, name
         assert report.max_error > report.tolerance
     monkeypatch.undo()
-    assert all(r.passed for r in laws.run_suite(cfg, STRUCTURE_LAWS))
+    rerun = sorted(set(STRUCTURE_LAWS) | set(caught_by))
+    assert all(r.passed for r in laws.run_suite(cfg, rerun))
+
+
+def test_corrupted_power_table_is_caught(monkeypatch):
+    # compose multiplies by the power table and compose_naive never reads it
+    original = TruncatedSeries.power_table
+
+    def crooked(self, max_exponent):
+        table = original(self, max_exponent)
+        table[-1, -1] += 1e-3
+        return table
+
+    monkeypatch.setattr(TruncatedSeries, "power_table", crooked)
+    report = laws.run_law("compose-matches-naive", laws.LawConfig())
+    assert not report.passed
+    assert report.max_error > report.tolerance
+    monkeypatch.undo()
+    assert laws.run_law("compose-matches-naive", laws.LawConfig()).passed
 
 
 def test_structure_laws_exact_at_largest_config():
