@@ -12,6 +12,8 @@ import json
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from . import calculus as ca
 from . import dsl
 from . import laws as laws_mod
@@ -45,6 +47,17 @@ def _write_out(text: str, out: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
+def _finite(command: str, compute):
+    """compute(), with an overflow reported as one error line naming the
+    command (the term language's rule), not as numpy warnings followed by a
+    JSON error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not dsl.all_finite(value):
+        raise ValueError(f"{command}: result is outside the float range")
+    return value
+
+
 def _cmd_eval(args) -> int:
     forms = dsl.parse_program(_read_text(args.file))
     _, last = dsl.evaluate_program(forms)
@@ -62,14 +75,14 @@ def _cmd_fmt(args) -> int:
 def _cmd_compose(args) -> int:
     f = _read_series(args.outer)
     g = _read_series(args.inner)
-    h = ca.compose(f, g, outer_polynomial=args.poly)
+    h = _finite("compose", lambda: ca.compose(f, g, outer_polynomial=args.poly))
     _write_out(h.to_json(), args.output)
     return 0
 
 
 def _cmd_curry(args) -> int:
     f = _read_series(args.series)
-    c = ca.curry(f, args.split)
+    c = _finite("curry", lambda: ca.curry(f, args.split))
     _write_out(json.dumps(c.to_json_dict(), allow_nan=False), args.output)
     return 0
 
@@ -77,9 +90,10 @@ def _cmd_curry(args) -> int:
 def _cmd_diff(args) -> int:
     f = _read_series(args.series)
     if args.coord is not None:
-        _write_out(f.partial_derivative(args.coord).to_json(), args.output)
+        d = _finite("diff", lambda: f.partial_derivative(args.coord))
     else:
-        _write_out(ca.derivative_series(f).to_json(), args.output)
+        d = _finite("diff", lambda: ca.derivative_series(f))
+    _write_out(d.to_json(), args.output)
     return 0
 
 

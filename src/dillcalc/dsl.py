@@ -400,14 +400,14 @@ def evaluate_term(node: Node, env: Optional[Dict[str, Value]] = None) -> Value:
     # warning followed by a JSON error far from its source
     with np.errstate(over="ignore", invalid="ignore"):
         value = _apply_op(node, op, node.items[1:], env)
-    if not _all_finite(value):
+    if not all_finite(value):
         raise EvalError(f"{op}: result is outside the float range", *_loc(node))
     return value
 
 
-def _all_finite(value: Value) -> bool:
+def all_finite(value: Value) -> bool:
     if isinstance(value, ca.CurriedSeries):
-        return all(_all_finite(s) for s in value.inner)
+        return all(all_finite(s) for s in value.inner)
     if isinstance(value, xp.LinearOperator):
         return bool(np.isfinite(value.matrix).all())
     return bool(np.isfinite(getattr(value, "coeffs", value)).all())

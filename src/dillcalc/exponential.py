@@ -14,6 +14,12 @@ Conventions for the operator matrices:
   matrix tensor products are numpy kron);
 * a map out of a tensor basis truncates: any image index of total degree
   above the target degree is dropped to 0;
+* the structure maps (dereliction, digging, weakening, coweakening,
+  contraction, cocontraction, m2 and its inverse, the swap, codereliction)
+  are sparse scatters of index tables, so they are built from their nonzero
+  entries (`LinearOperator.from_entries`) and only become dense matrices
+  when `matrix` is read; promotion, identities and the results of `@` and
+  `tensor` are dense;
 * the structural laws are checked on the sub-basis where the truncated maps
   are exact; the law harness states each restriction explicitly.
 """
@@ -269,9 +275,17 @@ Basis = Union[VectorBasis, DistBasis, TensorBasis]
 
 
 class LinearOperator:
-    """Dense complex matrix between described bases, rows indexing the target."""
+    """Complex matrix between described bases, rows indexing the target.
 
-    __slots__ = ("source", "target", "matrix")
+    Stored in one of two forms.  `LinearOperator(source, target, matrix)`
+    copies a dense matrix.  `LinearOperator.from_entries` keeps only the
+    nonzero (row, col, value) triples, which is how the structure maps are
+    built, and scatters them into a dense array the first time `matrix` is
+    read.  Arithmetic always reads `matrix`; `entries()` gives the nonzero
+    triples of either form.
+    """
+
+    __slots__ = ("source", "target", "_matrix", "_entries")
 
     def __init__(self, source: Basis, target: Basis, matrix):
         arr = np.asarray(matrix, dtype=np.complex128)
@@ -283,10 +297,60 @@ class LinearOperator:
         arr.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_matrix", arr)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearOperator is immutable")
+
+    @classmethod
+    def from_entries(cls, source: Basis, target: Basis, rows, cols, vals) -> "LinearOperator":
+        """The operator whose entry (rows[k], cols[k]) is vals[k] and every other
+        entry 0.  Zero values are dropped and the triples kept in row-major order."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        vals = np.asarray(vals, dtype=np.complex128).reshape(-1)
+        if not rows.size == cols.size == vals.size:
+            raise ValueError(
+                f"entry arrays have lengths {rows.size}, {cols.size}, {vals.size}"
+            )
+        n_rows, n_cols = target.size, source.size
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise ValueError(f"entry index outside the shape ({n_rows}, {n_cols})")
+        keys = rows * n_cols + cols
+        order = np.argsort(keys, kind="stable")
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("repeated (row, col) entry")
+        order = order[vals[order] != 0]
+        entries = (rows[order], cols[order], vals[order])
+        for arr in entries:
+            arr.setflags(write=False)
+        op = cls.__new__(cls)
+        object.__setattr__(op, "source", source)
+        object.__setattr__(op, "target", target)
+        object.__setattr__(op, "_matrix", None)
+        object.__setattr__(op, "_entries", entries)
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (target.size, source.size) matrix, read-only."""
+        if self._matrix is None:
+            arr = np.zeros((self.target.size, self.source.size), dtype=np.complex128)
+            rows, cols, vals = self._entries
+            arr[rows, cols] = vals
+            arr.setflags(write=False)
+            object.__setattr__(self, "_matrix", arr)
+        return self._matrix
+
+    def entries(self) -> tuple:
+        """The nonzero entries as (rows, cols, vals) arrays, in row-major order."""
+        if self._entries is not None:
+            return self._entries
+        rows, cols = np.nonzero(self._matrix)
+        return rows, cols, self._matrix[rows, cols]
 
     @classmethod
     def identity(cls, basis: Basis) -> "LinearOperator":
@@ -348,12 +412,11 @@ class LinearOperator:
 def counit(dim: int, degree: int) -> LinearOperator:
     """Dereliction !E -> E: keeps the unit extractors, so delta_x goes to x."""
     degree = _check_degree(degree)
-    n = mi.count_indices(dim, degree)
-    mat = np.zeros((dim, n), dtype=np.complex128)
-    if degree >= 1:
-        for i in range(dim):
-            mat[i, 1 + i] = 1.0  # position of the unit index e_i
-    return LinearOperator(DistBasis(dim, degree), VectorBasis(dim), mat)
+    units = np.arange(dim if degree >= 1 else 0)
+    # position 1 + i holds the unit index e_i
+    return LinearOperator.from_entries(
+        DistBasis(dim, degree), VectorBasis(dim), units, 1 + units, np.ones(units.size)
+    )
 
 
 def comultiplication(dim: int, inner_degree: int, outer_degree: int | None = None) -> LinearOperator:
@@ -377,25 +440,25 @@ def comultiplication(dim: int, inner_degree: int, outer_degree: int | None = Non
     outer_exps = mi.exponent_matrix(n_inner, outer_degree)  # (n_outer, n_inner)
     images = outer_exps @ inner_exps  # row r: the inner multi-index hit by row r
     rows = np.flatnonzero(images.sum(axis=1) <= inner_degree)
-    mat = np.zeros((n_outer, n_inner), dtype=np.complex128)
-    mat[rows, mi.rank(images[rows])] = 1.0
-    return LinearOperator(DistBasis(dim, inner_degree), DistBasis(n_inner, outer_degree), mat)
+    return LinearOperator.from_entries(
+        DistBasis(dim, inner_degree),
+        DistBasis(n_inner, outer_degree),
+        rows,
+        mi.rank(images[rows]),
+        np.ones(rows.size),
+    )
 
 
 def weakening(dim: int, degree: int) -> LinearOperator:
     """e: !E -> C, the coefficient at alpha = 0; e(delta_x) = 1."""
     degree = _check_degree(degree)
-    mat = np.zeros((1, mi.count_indices(dim, degree)), dtype=np.complex128)
-    mat[0, 0] = 1.0
-    return LinearOperator(DistBasis(dim, degree), VectorBasis(1), mat)
+    return LinearOperator.from_entries(DistBasis(dim, degree), VectorBasis(1), [0], [0], [1.0])
 
 
 def coweakening(dim: int, degree: int) -> LinearOperator:
     """m0: C -> !E sending 1 to eps_0 = delta_0; the unit of convolution."""
     degree = _check_degree(degree)
-    mat = np.zeros((mi.count_indices(dim, degree), 1), dtype=np.complex128)
-    mat[0, 0] = 1.0
-    return LinearOperator(VectorBasis(1), DistBasis(dim, degree), mat)
+    return LinearOperator.from_entries(VectorBasis(1), DistBasis(dim, degree), [0], [0], [1.0])
 
 
 def contraction(dim: int, degree: int) -> LinearOperator:
@@ -406,22 +469,20 @@ def contraction(dim: int, degree: int) -> LinearOperator:
     """
     degree = _check_degree(degree)
     basis = DistBasis(dim, degree)
-    n = basis.size
     ia, ib, ic = mi.product_table(dim, degree)
-    mat = np.zeros((n * n, n), dtype=np.complex128)
-    mat[ia * n + ib, ic] = 1.0
-    return LinearOperator(basis, TensorBasis(basis, basis), mat)
+    return LinearOperator.from_entries(
+        basis, TensorBasis(basis, basis), ia * basis.size + ib, ic, np.ones(ic.size)
+    )
 
 
 def cocontraction(dim: int, degree: int) -> LinearOperator:
     """nabla: !E (x) !E -> !E, the bilinear form of convolution on extractors."""
     degree = _check_degree(degree)
     basis = DistBasis(dim, degree)
-    n = basis.size
     ia, ib, ic, w = mi.convolution_table(dim, degree)
-    mat = np.zeros((n, n * n), dtype=np.complex128)
-    mat[ic, ia * n + ib] = w
-    return LinearOperator(TensorBasis(basis, basis), basis, mat)
+    return LinearOperator.from_entries(
+        TensorBasis(basis, basis), basis, ic, ia * basis.size + ib, w
+    )
 
 
 def monoidal_product(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
@@ -432,30 +493,38 @@ def monoidal_product(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
     """
     degree = _check_degree(degree)
     be, bf = DistBasis(dim_e, degree), DistBasis(dim_f, degree)
-    target = DistBasis(dim_e + dim_f, degree)
     de = mi.degree_vector(dim_e, degree)
     df = mi.degree_vector(dim_f, degree)
     i, j = np.nonzero(de[:, None] + df[None, :] <= degree)
     gamma = np.hstack(
         [mi.exponent_matrix(dim_e, degree)[i], mi.exponent_matrix(dim_f, degree)[j]]
     )
-    mat = np.zeros((target.size, be.size * bf.size), dtype=np.complex128)
-    mat[mi.rank(gamma), i * bf.size + j] = 1.0
-    return LinearOperator(TensorBasis(be, bf), target, mat)
+    return LinearOperator.from_entries(
+        TensorBasis(be, bf),
+        DistBasis(dim_e + dim_f, degree),
+        mi.rank(gamma),
+        i * bf.size + j,
+        np.ones(i.size),
+    )
 
 
 def monoidal_product_inverse(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
     """Splits !(E x F) back into the pair of marginal extractors: the transpose
-    of the bijection m2."""
+    of the bijection m2, its entries with rows and columns exchanged."""
     m2 = monoidal_product(dim_e, dim_f, degree)
-    return LinearOperator(m2.target, m2.source, m2.matrix.T)
+    rows, cols, vals = m2.entries()
+    return LinearOperator.from_entries(m2.target, m2.source, cols, rows, vals)
 
 
 def swap_operator(left: Basis, right: Basis) -> LinearOperator:
     i, j = np.divmod(np.arange(left.size * right.size), right.size)
-    mat = np.zeros((left.size * right.size, left.size * right.size), dtype=np.complex128)
-    mat[j * left.size + i, i * right.size + j] = 1.0
-    return LinearOperator(TensorBasis(left, right), TensorBasis(right, left), mat)
+    return LinearOperator.from_entries(
+        TensorBasis(left, right),
+        TensorBasis(right, left),
+        j * left.size + i,
+        i * right.size + j,
+        np.ones(i.size),
+    )
 
 
 def codereliction_operator(dim: int, degree: int) -> LinearOperator:
@@ -463,11 +532,10 @@ def codereliction_operator(dim: int, degree: int) -> LinearOperator:
     degree = _check_degree(degree)
     if degree < 1:
         raise ValueError("codereliction needs degree at least 1")
-    n = mi.count_indices(dim, degree)
-    mat = np.zeros((n, dim), dtype=np.complex128)
-    for i in range(dim):
-        mat[1 + i, i] = 1.0
-    return LinearOperator(VectorBasis(dim), DistBasis(dim, degree), mat)
+    units = np.arange(dim)
+    return LinearOperator.from_entries(
+        VectorBasis(dim), DistBasis(dim, degree), 1 + units, units, np.ones(dim)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,41 @@ def test_eval_overflow_is_an_error_without_warning(text):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "outer.json", "inner.json"],
+        ["compose", "outer.json", "inner.json", "--poly"],
+        ["diff", "cubic.json"],
+        ["diff", "cubic.json", "--coord", "0"],
+    ],
+    ids=["compose", "compose-poly", "diff", "diff-coord"],
+)
+def test_json_subcommand_overflow_is_an_error_without_warning(tmp_path, argv):
+    # the JSON subcommands once wrote numpy's overflow warnings ahead of
+    # "Out of range float values are not JSON compliant"
+    series_file(tmp_path, "outer.json", 1, 1, 3, {(0, (2,)): 1.0})
+    series_file(tmp_path, "inner.json", 1, 1, 3, {(0, (1,)): 1e200})
+    series_file(tmp_path, "cubic.json", 1, 1, 3, {(0, (3,)): 1.7e308})
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {argv[0]}: result is outside the float range\n"
+
+
+def test_curry_keeps_the_largest_floats(tmp_path, capsys):
+    # curry only re-indexes, so a coefficient near the float limit survives
+    path = series_file(tmp_path, "f.json", 2, 1, 3, {(0, (2, 1)): 1.7e308})
+    assert main(["curry", str(path), "--split", "1"]) == 0
+    assert "1.7e+308" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
 def test_eval_non_finite_literal_rejected(capsys, literal):
     with _stdin_text("(series :dom 1 :cod 1 :deg 2\n  {(1) -> " + literal + "})"):

@@ -1,12 +1,16 @@
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dillcalc import exponential as xp
+from dillcalc import laws
 from dillcalc import multiindex as mi
 from dillcalc.series import TruncatedSeries
+from test_laws import STRUCTURE_LAWS
 
 
 def rand_vec(rng, dim, scale=0.7):
@@ -308,6 +312,105 @@ def test_swap_operator_involution():
     s = xp.swap_operator(b1, b2)
     s_back = xp.swap_operator(b2, b1)
     np.testing.assert_array_equal((s_back @ s).matrix, np.eye(b1.size * b2.size))
+
+
+def _entry_built_maps():
+    """Every structure map built from its entries at dims 1-3, degrees 0-4
+    (digging where its size bound admits it), plus swaps of small bases."""
+    cases = []
+    for dim in (1, 2, 3):
+        for deg in range(5):
+            for fn in (xp.counit, xp.weakening, xp.coweakening, xp.contraction, xp.cocontraction):
+                cases.append(functools.partial(fn, dim, deg))
+            if deg >= 1:
+                cases.append(functools.partial(xp.codereliction_operator, dim, deg))
+            for dim_f in (1, 2, 3):
+                cases.append(functools.partial(xp.monoidal_product, dim, dim_f, deg))
+                cases.append(functools.partial(xp.monoidal_product_inverse, dim, dim_f, deg))
+            if mi.count_indices(mi.count_indices(dim, deg), deg) <= xp.DIGGING_DIM_BOUND:
+                cases.append(functools.partial(xp.comultiplication, dim, deg))
+    bases = [xp.VectorBasis(1), xp.VectorBasis(3), xp.DistBasis(2, 2), xp.DistBasis(1, 3)]
+    for left in bases:
+        for right in bases:
+            cases.append(functools.partial(xp.swap_operator, left, right))
+    return cases
+
+
+def test_entry_built_maps_match_their_dense_matrix():
+    for build in _entry_built_maps():
+        op = build()
+        rows, cols, vals = op.entries()
+        assert not any(a.flags.writeable for a in (rows, cols, vals)), build
+        assert np.all(vals != 0), build
+        order = np.lexsort((cols, rows))
+        mat = op.matrix
+        nz_rows, nz_cols = np.nonzero(mat)
+        np.testing.assert_array_equal(rows[order], nz_rows)
+        np.testing.assert_array_equal(cols[order], nz_cols)
+        np.testing.assert_array_equal(vals[order], mat[nz_rows, nz_cols])
+        assert mat.dtype == np.complex128
+        assert mat.shape == (op.target.size, op.source.size)
+        assert not mat.flags.writeable
+        assert op.matrix is mat, build
+
+
+def test_dense_operator_entries_and_copy():
+    mat = np.array([[0.0, 2.0], [3.0j, 0.0]])
+    op = xp.LinearOperator(xp.VectorBasis(2), xp.VectorBasis(2), mat)
+    mat[0, 1] = 5.0
+    assert op.matrix[0, 1] == 2.0 and not op.matrix.flags.writeable
+    rows, cols, vals = op.entries()
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+    assert vals.tolist() == [2.0, 3.0j]
+
+
+def test_from_entries_drops_zeros_and_validates():
+    v2, v3 = xp.VectorBasis(2), xp.VectorBasis(3)
+    op = xp.LinearOperator.from_entries(v2, v3, [2, 0, 1], [1, 0, 1], [4.0, 0.0, 1j])
+    rows, cols, vals = op.entries()
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([1, 2], [1, 1], [1j, 4.0])
+    np.testing.assert_array_equal(op.matrix, [[0, 0], [0, 1j], [0, 4]])
+    with pytest.raises(ValueError, match="repeated"):
+        xp.LinearOperator.from_entries(v2, v3, [1, 1], [0, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="outside the shape"):
+        xp.LinearOperator.from_entries(v2, v3, [3], [0], [1.0])
+    with pytest.raises(ValueError, match="outside the shape"):
+        xp.LinearOperator.from_entries(v2, v3, [0], [-1], [1.0])
+    with pytest.raises(ValueError, match="lengths"):
+        xp.LinearOperator.from_entries(v2, v3, [0, 1], [0], [1.0])
+    with pytest.raises(AttributeError):
+        op.matrix = np.zeros((3, 2))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one dense contraction at dim 3, degree 6: 84^2 x 84 complex entries
+DENSE_DELTA_3_6 = 84 * 84 * 84 * 16
+
+
+def test_structure_laws_stay_below_one_dense_map():
+    cfg = laws.LawConfig(dim=3, degree=6)
+    laws.run_suite(cfg, STRUCTURE_LAWS)  # index tables are cached, not counted
+    assert _peak_bytes(lambda: laws.run_suite(cfg, STRUCTURE_LAWS)) < DENSE_DELTA_3_6
+
+
+def test_contraction_at_4_8_is_not_densified():
+    # dense, either map would hold 495^2 x 495 complex entries, 1.9 GB
+    sizes = []
+
+    def build():
+        for fn in (xp.contraction, xp.cocontraction):
+            sizes.append(fn(4, 8).entries()[0].size)
+
+    assert _peak_bytes(build) < DENSE_DELTA_3_6 // 2
+    assert sizes == [12870, 12870]
 
 
 # -- promotion and adjunction ------------------------------------------------

@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,7 +166,8 @@ def test_corrupted_structure_map_is_caught(monkeypatch, operator, corrupt, caugh
 
 
 def test_corrupted_power_table_is_caught(monkeypatch):
-    # compose multiplies by the power table and compose_naive never reads it
+    # compose and bang_map multiply by the power table; compose_naive never
+    # reads it
     original = TruncatedSeries.power_table
 
     def crooked(self, max_exponent):
@@ -170,12 +175,13 @@ def test_corrupted_power_table_is_caught(monkeypatch):
         table[-1, -1] += 1e-3
         return table
 
+    names = ["compose-matches-naive", "adjunction-naturality"]
     monkeypatch.setattr(TruncatedSeries, "power_table", crooked)
-    report = laws.run_law("compose-matches-naive", laws.LawConfig())
-    assert not report.passed
-    assert report.max_error > report.tolerance
+    for report in laws.run_suite(laws.LawConfig(), names):
+        assert not report.passed, report.name
+        assert report.max_error > report.tolerance
     monkeypatch.undo()
-    assert laws.run_law("compose-matches-naive", laws.LawConfig()).passed
+    assert all(r.passed for r in laws.run_suite(laws.LawConfig(), names))
 
 
 def test_structure_laws_exact_at_largest_config():
@@ -255,3 +261,25 @@ def test_random_series_constant_flag():
     np.testing.assert_array_equal(f.constant_term(), [0.0, 0.0])
     g = laws.random_series(rng, 2, 2, 3)
     assert g.degree == 3 and g.coeffs.shape == (2, 10)
+
+
+def test_run_laws_script_sweeps_clean(tmp_path):
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_laws.py"),
+            *("--dims", "1", "2", "--degrees", "2", "3", "--json", str(out)),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("sweep clean")
+    reports = json.loads(out.read_text())
+    per_config = {}
+    for r in reports:
+        assert r["passed"], r
+        per_config[(r["dim"], r["degree"])] = per_config.get((r["dim"], r["degree"]), 0) + 1
+    assert per_config == {(d, k): len(EXPECTED_LAWS) for d in (1, 2) for k in (2, 3)}
