@@ -20,7 +20,7 @@ import numpy as np
 
 from . import multiindex as mi
 from . import multilinear as ml
-from .series import FiniteSpace, TruncatedSeries
+from .series import FiniteSpace, TruncatedSeries, _monomials_at
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:
@@ -111,21 +111,22 @@ class CurriedSeries:
     inner: tuple[TruncatedSeries, ...]
 
     def __post_init__(self):
-        idx = mi.enumerate_indices(self.outer_dim, self.degree)
-        if len(self.inner) != len(idx):
+        degs = mi.degree_vector(self.outer_dim, self.degree)
+        if len(self.inner) != degs.size:
             raise ValueError(
                 f"inconsistent nesting: {len(self.inner)} inner series for "
-                f"{len(idx)} outer indices"
+                f"{degs.size} outer indices"
             )
-        for a, s in zip(idx, self.inner):
-            want = self.degree - a.degree()
+        for p, s in enumerate(self.inner):
+            want = self.degree - int(degs[p])
             if (
                 s.domain.dim != self.inner_dim
                 or s.codomain.dim != self.codomain_dim
                 or s.degree != want
             ):
+                alpha = tuple(mi.exponent_matrix(self.outer_dim, self.degree)[p].tolist())
                 raise ValueError(
-                    f"inconsistent nesting at outer index {tuple(a)}: expected a "
+                    f"inconsistent nesting at outer index {alpha}: expected a "
                     f"series C^{self.inner_dim} -> C^{self.codomain_dim} of degree {want}"
                 )
 
@@ -134,8 +135,7 @@ class CurriedSeries:
         if x.size != self.outer_dim:
             raise ValueError(f"outer point has dimension {x.size}, expected {self.outer_dim}")
         out = np.zeros(self.codomain_dim, dtype=np.complex128)
-        for a, s in zip(mi.enumerate_indices(self.outer_dim, self.degree), self.inner):
-            mono = np.prod(np.array([x[i] ** e if e else 1.0 + 0j for i, e in enumerate(a)]))
+        for mono, s in zip(_monomials_at(x, self.outer_dim, self.degree), self.inner):
             out += mono * s.evaluate(y)
         return out
 
@@ -146,8 +146,8 @@ class CurriedSeries:
             "codomain_dim": self.codomain_dim,
             "degree": self.degree,
             "outer": [
-                {"alpha": list(a), "series": s.to_json_dict()}
-                for a, s in zip(mi.enumerate_indices(self.outer_dim, self.degree), self.inner)
+                {"alpha": a, "series": s.to_json_dict()}
+                for a, s in zip(mi.exponent_matrix(self.outer_dim, self.degree).tolist(), self.inner)
             ],
         }
 
@@ -185,10 +185,8 @@ def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
         f.codomain.dim,
         f.degree,
         tuple(
-            TruncatedSeries(
-                FiniteSpace(inner_dim), f.codomain, f.degree - a.degree(), f.coeffs[:, cols]
-            )
-            for a, cols in zip(mi.enumerate_indices(outer_dim, f.degree), groups)
+            TruncatedSeries(FiniteSpace(inner_dim), f.codomain, f.degree - d, f.coeffs[:, cols])
+            for d, cols in zip(mi.degree_vector(outer_dim, f.degree).tolist(), groups)
         ),
     )
 

@@ -165,9 +165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (dsl.ParseError, dsl.EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

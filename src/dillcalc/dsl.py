@@ -34,7 +34,7 @@ import numpy as np
 
 from . import calculus as ca
 from . import exponential as xp
-from .series import TruncatedSeries, _float17
+from .series import TruncatedSeries
 
 
 class ParseError(ValueError):
@@ -366,7 +366,9 @@ def _coeffmap_terms(out: int, cmap: CoeffMap, dom: int) -> Dict[tuple, complex]:
             if arr.size != 1:
                 raise EvalError("coefficient values are single complex numbers", *_loc(val))
             c = complex(arr[0])
-        terms[(out, key)] = terms.get((out, key), 0.0) + c
+        if (out, key) in terms:
+            raise EvalError(f"repeated multi-index {key} in a coefficient map", *_loc(cmap))
+        terms[(out, key)] = c
     return terms
 
 
@@ -656,7 +658,7 @@ def value_to_json_dict(value: Value) -> dict:
     if isinstance(value, np.ndarray):
         return {
             "kind": "vector",
-            "values": [[_float17(v.real), _float17(v.imag)] for v in value],
+            "values": [[v.real, v.imag] for v in value.tolist()],
         }
     if isinstance(value, TruncatedSeries):
         return {"kind": "series", **value.to_json_dict()}

@@ -74,10 +74,9 @@ class Distribution:
     @classmethod
     def extractor(cls, alpha, degree: int) -> "Distribution":
         """The basis functional eps_alpha."""
-        a = mi.MultiIndex(alpha)
-        arr = np.zeros(mi.count_indices(len(a), degree), dtype=np.complex128)
-        arr[mi.position_of(a, degree)] = 1.0
-        return cls(len(a), degree, arr)
+        arr = np.zeros(mi.count_indices(len(alpha), degree), dtype=np.complex128)
+        arr[mi.position_of(alpha, degree)] = 1.0
+        return cls(len(alpha), degree, arr)
 
     def coefficient(self, alpha) -> complex:
         return complex(self.coeffs[mi.position_of(alpha, self.degree)])
@@ -120,18 +119,12 @@ class Distribution:
         return f"Distribution(dim {self.dim}, degree {self.degree}, {nz} nonzero coefficients)"
 
     def to_json_dict(self) -> dict:
-        idx = mi.enumerate_indices(self.dim, self.degree)
-        entries = []
-        for p, a in enumerate(idx):
-            c = self.coeffs[p]
-            if c != 0:
-                entries.append(
-                    {
-                        "alpha": list(a),
-                        "re": float(format(c.real, ".17g")),
-                        "im": float(format(c.imag, ".17g")),
-                    }
-                )
+        (pos,) = np.nonzero(self.coeffs)
+        alphas = mi.exponent_matrix(self.dim, self.degree)[pos].tolist()
+        entries = [
+            {"alpha": a, "re": c.real, "im": c.imag}
+            for a, c in zip(alphas, self.coeffs[pos].tolist())
+        ]
         return {"dim": self.dim, "degree": self.degree, "coeffs": entries}
 
     def to_json(self) -> str:
@@ -220,15 +213,6 @@ def codereliction(v, degree: int) -> Distribution:
     return Distribution(v.size, degree, arr)
 
 
-def delta_taylor_check(x, degree: int, tol: float = 1e-12) -> bool:
-    """dirac(x) = sum_n theta(n, x) / n! coefficient for coefficient."""
-    d = dirac(x, degree)
-    acc = Distribution.zero(d.dim, degree)
-    for n in range(degree + 1):
-        acc = acc + theta(n, x, degree).scale(1.0 / math.factorial(n))
-    return float(np.max(np.abs(acc.coeffs - d.coeffs))) <= tol
-
-
 # ---------------------------------------------------------------------------
 # bases and operators
 
@@ -281,8 +265,9 @@ class LinearOperator:
     copies a dense matrix.  `LinearOperator.from_entries` keeps only the
     nonzero (row, col, value) triples, which is how the structure maps are
     built, and scatters them into a dense array the first time `matrix` is
-    read.  Arithmetic always reads `matrix`; `entries()` gives the nonzero
-    triples of either form.
+    read.  Applying an entry-built operator to a vector reads its triples;
+    `@` and `tensor` read `matrix`; `entries()` gives the nonzero triples of
+    either form.
     """
 
     __slots__ = ("source", "target", "_matrix", "_entries")
@@ -386,7 +371,12 @@ class LinearOperator:
                 raise ValueError(
                     f"vector has length {vec.size}, source basis has size {self.source.size}"
                 )
-        out = self.matrix @ vec
+        if self._entries is None:
+            out = self._matrix @ vec
+        else:
+            rows, cols, vals = self._entries
+            out = np.zeros(self.target.size, dtype=np.complex128)
+            np.add.at(out, rows, vals * vec[cols])
         if isinstance(self.target, DistBasis):
             return Distribution(self.target.dim, self.target.degree, out)
         return out
@@ -398,10 +388,7 @@ class LinearOperator:
         return {
             "source": self.source.describe(),
             "target": self.target.describe(),
-            "matrix": [
-                [[float(format(v.real, ".17g")), float(format(v.imag, ".17g"))] for v in row]
-                for row in self.matrix
-            ],
+            "matrix": [[[v.real, v.imag] for v in row] for row in self.matrix.tolist()],
         }
 
 
@@ -561,18 +548,17 @@ def bang_map(f: TruncatedSeries, degree: int) -> LinearOperator:
 
 
 def bang_linear(matrix, degree: int) -> LinearOperator:
-    """Promotion of a plain linear map given by a dense (n, m) matrix."""
+    """Promotion of a plain linear map given by a dense (n, m) matrix: `bang_map`
+    of the series whose only coefficients are the matrix columns at the unit
+    indices.  At degree 0 the linear part truncates away."""
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError("expected a 2d matrix")
     n, m = arr.shape
-    terms = {}
-    for j in range(n):
-        for i in range(m):
-            if arr[j, i] != 0:
-                terms[(j, tuple(1 if k == i else 0 for k in range(m)))] = arr[j, i]
-    f = TruncatedSeries.from_terms(m, n, degree, terms)
-    return bang_map(f, degree)
+    coeffs = np.zeros((n, mi.count_indices(m, _check_degree(degree))), dtype=np.complex128)
+    if degree >= 1:
+        coeffs[:, 1 : 1 + m] = arr  # positions 1..m are the unit indices e_1..e_m
+    return bang_map(TruncatedSeries.from_arrays(m, n, degree, coeffs), degree)
 
 
 def series_to_operator(f: TruncatedSeries) -> LinearOperator:

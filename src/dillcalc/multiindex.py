@@ -9,9 +9,12 @@ degree-D' table for D' > D.  All counting is done in exact integer arithmetic.
 
 `rank` is the one place positions are computed: it maps exponent rows to
 graded positions arithmetically, and the product, convolution and derivative
-tables, the exponential structure maps, currying and series construction all
-scatter through it.  `index_positions`, a dict built from the enumeration
-alone, is kept for check-only code that must stay independent of `rank`.
+tables, the exponential structure maps, currying, series construction and the
+JSON writers all scatter through it or read rows of `exponent_matrix`.
+`MultiIndex` validates the scalar API (`position_of`, `multinomial`,
+`binom_componentwise`); it, `enumerate_indices` and `index_positions`, a dict
+built from the enumeration alone, are kept for check-only code that must stay
+independent of `rank`.
 """
 
 from __future__ import annotations

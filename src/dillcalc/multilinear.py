@@ -27,11 +27,6 @@ def sorted_tuples(dim: int, arity: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _tuple_positions(dim: int, arity: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(sorted_tuples(dim, arity))}
-
-
-@lru_cache(maxsize=None)
 def _ordered_lookup(dim: int, arity: int) -> tuple[np.ndarray, np.ndarray]:
     """Digit table of all ordered tuples in [dim]^arity, arity >= 1, and their
     sorted positions.
@@ -74,7 +69,14 @@ class SymmetricMultilinear:
         raise AttributeError("SymmetricMultilinear is immutable")
 
     def entry(self, out: int, t: tuple[int, ...]) -> complex:
-        return complex(self.entries[out, _tuple_positions(self.domain.dim, self.arity)[tuple(sorted(t))]])
+        """The entry at the coordinate tuple t, in any order: the rank of its
+        multiplicity vector inside the degree-`arity` block, as in `_ordered_lookup`."""
+        dim = self.domain.dim
+        if len(t) != self.arity or not all(0 <= i < dim for i in t):
+            raise KeyError(f"{tuple(t)} is not a tuple of {self.arity} coordinates below {dim}")
+        counts = np.bincount(np.asarray(t, dtype=np.int64), minlength=dim)
+        block_start = mi.count_indices(dim, self.arity) - self.entries.shape[1]
+        return complex(self.entries[out, mi.rank(counts) - block_start])
 
     def apply(self, args) -> np.ndarray:
         """Evaluate on arity-many vectors by full multilinear expansion.

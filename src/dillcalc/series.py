@@ -2,8 +2,9 @@
 
 A map f: C^m -> C^n is stored as the dense coefficient table of its Taylor
 expansion at 0, truncated at a total degree D: coeffs[j, p] is the coefficient
-of x^alpha_p in component j, with positions p running over the graded order of
-`multiindex.enumerate_indices(m, D)`.  Coefficient arrays are immutable.
+of x^alpha_p in component j, where alpha_p is row p of
+`multiindex.exponent_matrix(m, D)` and p = `multiindex.rank(alpha_p)`.
+Coefficient arrays are immutable.
 
 The environment variable DILL_SERIES_MAX_DEGREE (default 8) caps truncation
 degrees globally; constructors reject anything larger.
@@ -113,23 +114,25 @@ class TruncatedSeries:
     def from_terms(cls, dom_dim: int, cod_dim: int, degree: int, terms) -> "TruncatedSeries":
         """Build from a mapping {(out_component, alpha): coefficient}."""
         degree = _check_degree(degree)
-        outs, rows, values = [], [], []
-        for (j, alpha), value in terms.items():
-            a = mi.MultiIndex(alpha)
-            if len(a) != dom_dim:
+        for j, alpha in terms:
+            if len(alpha) != dom_dim:
                 raise ValueError(
-                    f"multi-index {tuple(a)} has dimension {len(a)}, expected {dom_dim}"
+                    f"multi-index {tuple(alpha)} has dimension {len(alpha)}, expected {dom_dim}"
                 )
-            if a.degree() > degree:
-                raise ValueError(f"multi-index {tuple(a)} exceeds degree {degree}")
             if not 0 <= j < cod_dim:
                 raise ValueError(f"output component {j} out of range")
-            outs.append(j)
-            rows.append(a)
-            values.append(value)
+        alphas = [alpha for _, alpha in terms]
+        # Python ints compare exactly, so an exponent past int64 is over-degree
+        exps = np.array(alphas, dtype=object).reshape(len(alphas), dom_dim)
+        negative = (exps < 0).any(axis=1)
+        bad = negative | (exps.sum(axis=1) > degree)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if negative[k]:
+                raise ValueError(f"negative exponent in multi-index {tuple(alphas[k])}")
+            raise ValueError(f"multi-index {tuple(alphas[k])} exceeds degree {degree}")
         arr = np.zeros((cod_dim, mi.count_indices(dom_dim, degree)), dtype=np.complex128)
-        if rows:
-            arr[outs, mi.rank(rows)] = values
+        arr[[j for j, _ in terms], mi.rank(exps.astype(np.int64))] = list(terms.values())
         return cls(FiniteSpace(dom_dim), FiniteSpace(cod_dim), degree, arr)
 
     @classmethod
@@ -301,25 +304,17 @@ class TruncatedSeries:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        idx = mi.enumerate_indices(self.domain.dim, self.degree)
-        entries = []
-        for j in range(self.codomain.dim):
-            for p, a in enumerate(idx):
-                c = self.coeffs[j, p]
-                if c != 0:
-                    entries.append(
-                        {
-                            "out": j,
-                            "alpha": list(a),
-                            "re": _float17(c.real),
-                            "im": _float17(c.imag),
-                        }
-                    )
+        outs, pos = np.nonzero(self.coeffs)
+        alphas = mi.exponent_matrix(self.domain.dim, self.degree)[pos].tolist()
+        values = self.coeffs[outs, pos].tolist()
         return {
             "domain_dim": self.domain.dim,
             "codomain_dim": self.codomain.dim,
             "degree": self.degree,
-            "coeffs": entries,
+            "coeffs": [
+                {"out": j, "alpha": a, "re": c.real, "im": c.imag}
+                for j, a, c in zip(outs.tolist(), alphas, values)
+            ],
         }
 
     def to_json(self) -> str:
@@ -357,11 +352,6 @@ class TruncatedSeries:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
         return cls.from_json_dict(data)
-
-
-def _float17(x: float) -> float:
-    """Round-trip a float through 17 significant digits (identity on doubles)."""
-    return float(format(float(x), ".17g"))
 
 
 def coefficient_distance(f: TruncatedSeries, g: TruncatedSeries) -> float:

@@ -135,12 +135,15 @@ def test_criterion_04_theta_extraction(capsys):
 def test_criterion_05_dirac_taylor(capsys):
     def body():
         rng = np.random.default_rng(105)
+        worst = 0.0
         for trial in range(100):
             m = int(rng.integers(1, 4))
             deg = int(rng.integers(1, 7))
-            x = laws.random_vector(rng, m, scale=0.8)
-            assert xp.delta_taylor_check(x, deg, tol=1e-12), f"trial {trial}"
-        return "dirac == sum theta_n/n! to 1e-12 at 100 random points"
+            seed = int(rng.integers(0, 2**31))
+            report = laws.run_law("delta-taylor", laws.LawConfig(m, deg, seed))
+            assert report.max_error <= 1e-12, f"trial {trial}: {report.max_error:.3e}"
+            worst = max(worst, report.max_error)
+        return f"dirac == sum theta_n/n! within {worst:.2e} <= 1e-12 in 100 random configs"
 
     _report(5, "Taylor expansion of the Dirac functional", 2.0, body, capsys)
 

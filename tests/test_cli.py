@@ -241,6 +241,59 @@ def test_series_json_repeated_entry_rejected(tmp_path, capsys):
     assert "repeated entry" in capsys.readouterr().err
 
 
+def test_eval_repeated_coefficient_key_rejected(capsys):
+    # the two values were once summed, printing coefficient 3.0 with exit 0
+    with _stdin_text("(series :dom 1 :cod 1 :deg 2\n  {(1) -> 1 (1) -> 2})"):
+        code = main(["eval", "-"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2, col 3: repeated multi-index (1,) in a coefficient map\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"out": 0, "alpha": [1, -1]}, "negative exponent in multi-index (1, -1)"),
+        ({"out": 0, "alpha": [3, 0]}, "multi-index (3, 0) exceeds degree 2"),
+        ({"out": 0, "alpha": [10**30, 0]}, f"multi-index ({10**30}, 0) exceeds degree 2"),
+        ({"out": 0, "alpha": [1, 0, 0]}, "multi-index (1, 0, 0) has dimension 3, expected 2"),
+        ({"out": 1, "alpha": [1, 0]}, "output component 1 out of range"),
+        ({"out": -1, "alpha": [1, 0]}, "output component -1 out of range"),
+    ],
+    ids=["negative", "over-degree", "past-int64", "length", "component", "negative-component"],
+)
+def test_series_json_bad_term_wording(tmp_path, capsys, entry, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "domain_dim": 2, "codomain_dim": 1, "degree": 2,
+        "coeffs": [{"out": 0, "alpha": [0, 1], "re": 1.0, "im": 0.0}, dict(entry, re=2.0)],
+    }))
+    assert main(["diff", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "cmap, message",
+    [
+        ("{(0 1) -> 1 (1 -1) -> 2}", "negative exponent in multi-index (1, -1)"),
+        ("{(0 1) -> 1 (3 0) -> 2}", "multi-index (3, 0) exceeds degree 2"),
+        ("{(0 1) -> 1 (1 0 0) -> 2}", "multi-index (1, 0, 0) has 3 entries, domain dimension is 2"),
+    ],
+    ids=["negative", "over-degree", "length"],
+)
+def test_series_literal_bad_term_wording(capsys, cmap, message):
+    with _stdin_text("(series :dom 2 :cod 1 :deg 2\n  " + cmap + ")"):
+        code = main(["eval", "-"])
+    assert code == 1
+    captured = capsys.readouterr()
+    where = "line 2, col 3" if "entries" in message else "line 1, col 1"
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e999"])
 def test_series_json_non_finite_rejected(tmp_path, capsys, value):
     path = tmp_path / "nan.json"

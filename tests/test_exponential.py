@@ -166,11 +166,6 @@ def test_codereliction_is_derivative_at_zero():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_delta_taylor_check():
-    assert xp.delta_taylor_check([0.4, -0.3], 4)
-    assert xp.delta_taylor_check([1.5j], 6)
-
-
 # -- operators ---------------------------------------------------------------
 
 
@@ -337,13 +332,18 @@ def _entry_built_maps():
 
 
 def test_entry_built_maps_match_their_dense_matrix():
+    rng = np.random.default_rng(59)
     for build in _entry_built_maps():
         op = build()
         rows, cols, vals = op.entries()
         assert not any(a.flags.writeable for a in (rows, cols, vals)), build
         assert np.all(vals != 0), build
         order = np.lexsort((cols, rows))
+        vec = rand_vec(rng, op.source.size)
+        applied = op(vec)  # read from the entries, before anything densifies them
         mat = op.matrix
+        applied = getattr(applied, "coeffs", applied)
+        np.testing.assert_allclose(applied, mat @ vec, rtol=0, atol=1e-12)
         nz_rows, nz_cols = np.nonzero(mat)
         np.testing.assert_array_equal(rows[order], nz_rows)
         np.testing.assert_array_equal(cols[order], nz_cols)
@@ -401,6 +401,14 @@ def test_structure_laws_stay_below_one_dense_map():
     assert _peak_bytes(lambda: laws.run_suite(cfg, STRUCTURE_LAWS)) < DENSE_DELTA_3_6
 
 
+def test_cocontraction_law_stays_below_one_dense_map():
+    # applying nabla once went through its dense 84 x 7056 matrix
+    cfg = laws.LawConfig(dim=3, degree=6)
+    laws.run_law("cocontraction-matches-convolve", cfg)
+    peak = _peak_bytes(lambda: laws.run_law("cocontraction-matches-convolve", cfg))
+    assert peak < DENSE_DELTA_3_6
+
+
 def test_contraction_at_4_8_is_not_densified():
     # dense, either map would hold 495^2 x 495 complex entries, 1.9 GB
     sizes = []
@@ -429,6 +437,13 @@ def test_bang_linear_sends_dirac_to_dirac():
     x = rand_vec(rng, 3)
     got = op(xp.dirac(x, 3))
     np.testing.assert_allclose(got.coeffs, xp.dirac(mat @ x, 3).coeffs, atol=1e-11)
+
+
+def test_bang_linear_at_degree_0_is_the_identity():
+    # a linear map has no constant term, so below degree 1 nothing of it is left
+    op = xp.bang_linear(np.array([[2.0, 3.0]]), 0)
+    assert (op.source, op.target) == (xp.DistBasis(2, 0), xp.DistBasis(1, 0))
+    np.testing.assert_array_equal(op.matrix, [[1.0]])
 
 
 def test_bang_degree_guard():

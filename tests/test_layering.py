@@ -1,0 +1,47 @@
+"""Runtime code reads exponent rows and `rank`.  Only the multi-index module,
+the law harness and the check-only routes, which must not share the formula
+they check, build MultiIndex tuples or walk the enumeration."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dillcalc"
+GUARDED = {"MultiIndex", "enumerate_indices", "index_positions"}
+CHECK_ONLY_MODULES = {"multiindex.py", "laws.py"}
+CHECK_ONLY_FUNCTIONS = {"compose_naive", "polarize", "split_slot_reference"}
+
+
+def guarded_calls(path):
+    """(called name, enclosing function names) of every guarded call in a file."""
+    found = []
+
+    def walk(node, stack):
+        for child in ast.iter_child_nodes(node):
+            inner = stack
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = stack + (child.name,)
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in GUARDED:
+                    found.append((name, inner))
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_runtime_modules_do_not_walk_the_enumeration():
+    offenders = [
+        f"{path.name}: {name}() in {'.'.join(stack) or 'module scope'}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in CHECK_ONLY_MODULES
+        for name, stack in guarded_calls(path)
+        if not CHECK_ONLY_FUNCTIONS & set(stack)
+    ]
+    assert offenders == []
+
+
+def test_the_guard_sees_the_check_only_oracle():
+    # compose_naive walks the enumeration on purpose; the walker must find it
+    assert ("enumerate_indices", ("compose_naive",)) in guarded_calls(SRC / "calculus.py")

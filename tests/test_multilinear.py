@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dillcalc import multilinear as ml
-from dillcalc.series import TruncatedSeries
+from dillcalc.series import FiniteSpace, TruncatedSeries
 
 from brute import iter_indices
 
@@ -131,3 +132,24 @@ def test_entry_accessor():
     tensor = ml.from_monomial(f, 2)
     # entry = c * prod(alpha!) / k! = 6 * 2!/2! = 6, and f~(x, y) = 6 x y
     assert tensor.entry(0, (0, 0)) == pytest.approx(6.0)
+
+
+def test_entry_reads_the_sorted_tuple_in_any_order():
+    # reference: the stored column of the sorted tuple, found by list search
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3):
+        for arity in range(5):
+            n = len(ml.sorted_tuples(dim, arity))
+            entries = rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n))
+            tensor = ml.SymmetricMultilinear(
+                arity, FiniteSpace(dim), FiniteSpace(2), entries
+            )
+            for col, t in enumerate(ml.sorted_tuples(dim, arity)):
+                for ordered in set(itertools.permutations(t)):
+                    for out in (0, 1):
+                        assert tensor.entry(out, ordered) == entries[out, col]
+            with pytest.raises(KeyError):
+                tensor.entry(0, (0,) * (arity + 1))
+            if arity:
+                with pytest.raises(KeyError):
+                    tensor.entry(0, (dim,) * arity)  # coordinate out of range
