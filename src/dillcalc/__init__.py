@@ -52,7 +52,19 @@ from .exponential import (
     theta,
     weakening,
 )
-from .laws import LawConfig, LawReport, law_names, run_law, run_suite
+
+# The law harness loads numpy.random; it is imported on first use of one of
+# its names, so `import dillcalc` and the other subcommands do not pay for it.
+_LAW_NAMES = ("LawConfig", "LawReport", "law_names", "run_law", "run_suite")
+
+
+def __getattr__(name):
+    if name in _LAW_NAMES:
+        from . import laws
+
+        return getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

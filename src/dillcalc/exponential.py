@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from . import multiindex as mi
-from .series import FiniteSpace, TruncatedSeries, _check_degree, _monomials_at
+from .series import FiniteSpace, TruncatedSeries, _check_degree, _json_entries, _monomials_at
 
 DIGGING_DIM_BOUND = 5000
 
@@ -136,12 +136,11 @@ class Distribution:
             dim = int(data["dim"])
             degree = int(data["degree"])
             raw = data.get("coeffs", [])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed distribution JSON: {exc}") from exc
         arr = np.zeros(mi.count_indices(dim, degree), dtype=np.complex128)
         entries = {}
-        for item in raw:
-            alpha = tuple(int(e) for e in item["alpha"])
+        for _, alpha, real, imag in _json_entries(raw, "distribution"):
             if len(alpha) != dim:
                 raise ValueError(
                     f"malformed distribution JSON: alpha {list(alpha)} has length "
@@ -151,20 +150,20 @@ class Distribution:
                 raise ValueError(
                     f"malformed distribution JSON: repeated entry alpha={list(alpha)}"
                 )
-            real, imag = float(item.get("re", 0.0)), float(item.get("im", 0.0))
             if not (math.isfinite(real) and math.isfinite(imag)):
                 raise ValueError(
                     f"malformed distribution JSON: non-finite coefficient at alpha={list(alpha)}"
                 )
             entries[alpha] = complex(real, imag)
-        exps = np.array(list(entries), dtype=np.int64).reshape(-1, dim)
-        bad = (exps.min(axis=1, initial=0) < 0) | (exps.sum(axis=1) > degree)
+        # Python ints compare exactly, so an exponent past int64 is over-degree
+        exps = np.array(list(entries), dtype=object).reshape(-1, dim)
+        bad = (exps < 0).any(axis=1) | (exps.sum(axis=1) > degree)
         if bad.any():
             raise ValueError(
                 f"malformed distribution JSON: alpha {exps[np.argmax(bad)].tolist()} "
                 f"is not a multi-index of degree <= {degree}"
             )
-        arr[mi.rank(exps)] = list(entries.values())
+        arr[mi.rank(exps.astype(np.int64))] = list(entries.values())
         return cls(dim, degree, arr)
 
 

@@ -748,8 +748,12 @@ def _law_bialgebra_compat(config: LawConfig, rng) -> Tuple[float, float, dict]:
     cols = _admissible_columns(dim, dim, degree)
     restrict = _identity(n * n, cols)
     lhs = _act(delta, _act(nabla, restrict))
-    split = _act(delta, _act(delta, restrict, after=n))
-    rhs = _act(nabla, _act(nabla, _swap(split, n, n, after=n), after=n * n))
+    # one name for the right-hand side, so each step frees the one before it
+    rhs = _act(delta, restrict, after=n)
+    rhs = _act(delta, rhs)
+    rhs = _swap(rhs, n, n, after=n)
+    rhs = _act(nabla, rhs, after=n * n)
+    rhs = _act(nabla, rhs)
     return _deviation(lhs, rhs), TOL_EXACT, {
         "dim": dim,
         "degree": degree,

@@ -8,9 +8,11 @@ depend on the truncation degree, so a degree-D table is a prefix of the
 degree-D' table for D' > D.  All counting is done in exact integer arithmetic.
 
 `rank` is the one place positions are computed: it maps exponent rows to
-graded positions arithmetically, and the product, convolution and derivative
-tables, the exponential structure maps, currying, series construction and the
-JSON writers all scatter through it or read rows of `exponent_matrix`.
+graded positions arithmetically, and the derivative table, the exponential
+structure maps, currying, series construction and the JSON writers all scatter
+through it or read rows of `exponent_matrix`.  The product and convolution
+tables come from one pass, `_pair_tables`, that applies the same formula to
+sums of suffix sums, so the summed exponent rows are never formed.
 `MultiIndex` validates the scalar API (`position_of`, `multinomial`,
 `binom_componentwise`); it, `enumerate_indices` and `index_positions`, a dict
 built from the enumeration alone, are kept for check-only code that must stay
@@ -33,9 +35,8 @@ class MultiIndex(tuple):
         idx = super().__new__(cls, (int(e) for e in exponents))
         if not idx:
             raise ValueError("empty space: dimension must be at least 1")
-        for e in idx:
-            if e < 0:
-                raise ValueError(f"negative exponent in multi-index {tuple(idx)}")
+        if min(idx) < 0:
+            raise ValueError(f"negative exponent in multi-index {tuple(idx)}")
         return idx
 
     def degree(self) -> int:
@@ -120,12 +121,22 @@ def index_positions(dim: int, max_degree: int) -> dict[MultiIndex, int]:
     return {a: i for i, a in enumerate(enumerate_indices(dim, max_degree))}
 
 
-def _pascal(rows: int, cols: int) -> np.ndarray:
-    """int64 table P[j, k] = binom(j + k, k) for j < rows, k < cols."""
-    table = np.ones((rows, cols), dtype=np.int64)
-    for j in range(1, rows):
-        table[j] = np.cumsum(table[j - 1])  # hockey stick: sum_t<=k P[j-1, t]
+@lru_cache(maxsize=None)
+def _counts(top: int, width: int) -> np.ndarray:
+    """int64 table counts[r, k] = count_indices(k, r - 1) = binom(r - 1 + k, k)
+    for 0 < r <= top and k < width, with counts[0] = 0."""
+    table = np.zeros((top + 1, width), dtype=np.int64)
+    if top:
+        table[1] = 1
+    for r in range(2, top + 1):
+        table[r] = np.cumsum(table[r - 1])  # hockey stick: sum_t<=k counts[r-1, t]
+    table.setflags(write=False)
     return table
+
+
+def _suffix(exps: np.ndarray) -> np.ndarray:
+    """Suffix sums r_i = alpha_i + ... + alpha_(m-1) along the last axis."""
+    return np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
 
 
 def rank(exps) -> np.ndarray:
@@ -135,15 +146,13 @@ def rank(exps) -> np.ndarray:
     alpha are those of lower degree, count_indices(m, r_0 - 1), plus for each
     i >= 1 those of the same degree that agree with alpha on alpha_0 ..
     alpha_(i-2) and are larger at alpha_(i-1): count_indices(m - i, r_i - 1)
-    of them.  So the position is sum_i binom(r_i + m - i - 1, m - i), with a
-    zero term where r_i = 0.
+    of them.  So the position is sum_i binom(r_i + m - i - 1, m - i), read
+    from the cached counts[r_i, m - i], with a zero term where r_i = 0.
     """
     exps = np.asarray(exps, dtype=np.int64)
     dim = exps.shape[-1]
-    suffix = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
-    top = int(suffix.max(initial=0))
-    counts = np.zeros((top + 1, dim + 1), dtype=np.int64)
-    counts[1:] = _pascal(top, dim + 1)  # counts[r, k] = count_indices(k, r - 1)
+    suffix = _suffix(exps)
+    counts = _counts(int(suffix.max(initial=0)), dim + 1)
     return counts[suffix, np.arange(dim, 0, -1)].sum(axis=-1)
 
 
@@ -167,9 +176,10 @@ def binom_componentwise(alpha, beta) -> int:
     """prod_i binom(alpha_i + beta_i, alpha_i).
 
     This is the coefficient of x^alpha y^beta in (x + y)^(alpha + beta) and the
-    structure constant of convolution on coefficient extractors.
+    structure constant of convolution on coefficient extractors.  An argument
+    that is already a MultiIndex is not validated again.
     """
-    a, b = MultiIndex(alpha), MultiIndex(beta)
+    a, b = (x if isinstance(x, MultiIndex) else MultiIndex(x) for x in (alpha, beta))
     if len(a) != len(b):
         raise ValueError(f"multi-index dimensions differ: {len(a)} vs {len(b)}")
     out = 1
@@ -204,21 +214,45 @@ def degree_vector(dim: int, max_degree: int) -> np.ndarray:
     return v
 
 
-def _pair_blocks(dim: int, max_degree: int):
-    """Yield (ia, ib, alpha_ia, alpha_ib) per degree block (da, db), da + db <= max_degree.
+@lru_cache(maxsize=None)
+def _pair_tables(dim: int, max_degree: int):
+    """(ia, ib, ic, w) over all pairs alpha_ia + alpha_ib = alpha_ic, all <= max_degree,
+    with w = binom_componentwise(alpha_ia, alpha_ib).
 
-    Blocks come da-major, and pairs inside a block ia-major, so every table
-    built from them lists its pairs in one fixed order.
+    One pass writes each degree block (da, db), da + db <= max_degree, straight
+    into the output, da-major and ia-major inside a block.  Suffix sums add,
+    s_i(alpha + beta) = s_i(alpha) + s_i(beta), so rank(alpha + beta) and the
+    weight both build up one coordinate at a time from (na x nb) gathers,
+    without materialising the summed exponent rows.
     """
     exps = exponent_matrix(dim, max_degree)
+    suffix = _suffix(exps)
+    counts = _counts(max_degree, dim + 1)
+    binom = _counts(max_degree + 1, max_degree + 1)  # binom[a + 1, b] = C(a + b, b)
     starts = [0] + [count_indices(dim, d) for d in range(max_degree + 1)]
-    for da in range(max_degree + 1):
-        rows_a = np.arange(starts[da], starts[da + 1])
-        for db in range(max_degree - da + 1):
-            rows_b = np.arange(starts[db], starts[db + 1])
-            ia = np.repeat(rows_a, rows_b.size)
-            ib = np.tile(rows_b, rows_a.size)
-            yield ia, ib, exps[ia], exps[ib]
+    blocks = [
+        (slice(starts[da], starts[da + 1]), slice(starts[db], starts[db + 1]))
+        for da in range(max_degree + 1)
+        for db in range(max_degree - da + 1)
+    ]
+    total = sum((ra.stop - ra.start) * (rb.stop - rb.start) for ra, rb in blocks)
+    ia, ib, ic = (np.empty(total, dtype=np.int64) for _ in range(3))
+    w = np.empty(total, dtype=np.float64)
+    end = 0
+    for ra, rb in blocks:
+        rows_a, rows_b = np.arange(ra.start, ra.stop), np.arange(rb.start, rb.stop)
+        shape = (rows_a.size, rows_b.size)
+        at = slice(end, end + rows_a.size * rows_b.size)
+        end = at.stop
+        ia[at].reshape(shape)[:] = rows_a[:, None]
+        ib[at].reshape(shape)[:] = rows_b
+        c, v = ic[at].reshape(shape), w[at].reshape(shape)
+        c[:] = 0
+        v[:] = 1.0
+        for i in range(dim):
+            c += counts[suffix[ra, i, None] + suffix[rb, i], dim - i]
+            v *= binom[exps[ra, i, None] + 1, exps[rb, i]]
+    return _frozen(ia, ib, ic, w)
 
 
 @lru_cache(maxsize=None)
@@ -227,20 +261,13 @@ def product_table(dim: int, max_degree: int):
 
     Drives truncated Cauchy products: c[ic] += a[ia] * b[ib].
     """
-    blocks = [(ia, ib, rank(a + b)) for ia, ib, a, b in _pair_blocks(dim, max_degree)]
-    return _frozen(*(np.concatenate(col) for col in zip(*blocks)))
+    return _pair_tables(dim, max_degree)[:3]
 
 
 @lru_cache(maxsize=None)
 def convolution_table(dim: int, max_degree: int):
     """The product_table triples with the weight binom_componentwise(alpha_ia, alpha_ib)."""
-    ia, ib, ic = product_table(dim, max_degree)
-    binom = _pascal(max_degree + 1, max_degree + 1)  # binom[y, x] = C(x + y, x)
-    w = np.concatenate(
-        [binom[b, a].prod(axis=1) for _, _, a, b in _pair_blocks(dim, max_degree)]
-    ).astype(np.float64)
-    w.setflags(write=False)
-    return ia, ib, ic, w
+    return _pair_tables(dim, max_degree)
 
 
 @lru_cache(maxsize=None)

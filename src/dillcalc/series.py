@@ -62,6 +62,32 @@ class FiniteSpace:
             raise ValueError("empty space: dimension must be at least 1")
 
 
+def _json_entries(raw, kind: str):
+    """Yield (item, alpha, re, im) for each item of the `coeffs` list of a
+    series or distribution JSON; a malformed list or item is a ValueError."""
+    if not isinstance(raw, list):
+        raise ValueError(f"malformed {kind} JSON: coeffs must be a list, got {raw!r}")
+    for item in raw:
+        if not isinstance(item, dict):
+            raise ValueError(f"malformed {kind} JSON: coeffs item {item!r} is not an object")
+        alpha = item.get("alpha")
+        if not isinstance(alpha, list):
+            raise ValueError(f"malformed {kind} JSON: alpha must be a list, got {alpha!r}")
+        try:
+            exps = tuple(int(e) for e in alpha)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"malformed {kind} JSON: alpha {alpha} is not a list of integers ({exc})"
+            ) from exc
+        try:
+            real, imag = float(item.get("re", 0.0)), float(item.get("im", 0.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"malformed {kind} JSON: coefficient at alpha={alpha} is not a number ({exc})"
+            ) from exc
+        yield item, exps, real, imag
+
+
 def _monomials_at(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
     """Vector of x^alpha over the graded order, with 0^0 = 1."""
     exps = mi.exponent_matrix(dim, degree)
@@ -225,7 +251,8 @@ class TruncatedSeries:
         every parent is built before it is read, and each batch of rows is one
         Cauchy product by g_j: the product triples sorted by target position,
         restricted to the nonzero entries of g_j and of the parents, summed
-        with reduceat.
+        with reduceat.  Only the triples kept for g_j are sorted, stably, so
+        they keep the order the full table would give them.
         """
         n = self.codomain.dim
         exps = mi.exponent_matrix(n, max_exponent)[1:]
@@ -237,12 +264,11 @@ class TruncatedSeries:
         rows = np.arange(1, len(exps) + 1)
 
         ia, ib, ic = mi.product_table(self.domain.dim, self.degree)
-        order = np.argsort(ic, kind="stable")
-        ia, ib, ic = ia[order], ib[order], ic[order]
         table = np.zeros((len(exps) + 1, self.coeffs.shape[1]), dtype=np.complex128)
         table[0, 0] = 1.0
         for j in range(n):
-            keep = self.coeffs[j, ib] != 0
+            keep = np.flatnonzero((self.coeffs[j] != 0)[ib])
+            keep = keep[np.argsort(ic[keep], kind="stable")]
             ja, jc, jw = ia[keep], ic[keep], self.coeffs[j, ib[keep]]
             for k in range(1, max_exponent + 1):
                 batch = (last == j) & (degree == k)
@@ -327,16 +353,20 @@ class TruncatedSeries:
             cod = int(data["codomain_dim"])
             degree = int(data["degree"])
             raw = data.get("coeffs", [])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
         terms = {}
-        for item in raw:
-            key = (int(item.get("out", 0)), tuple(int(e) for e in item["alpha"]))
+        for item, alpha, real, imag in _json_entries(raw, "series"):
+            try:
+                key = (int(item.get("out", 0)), alpha)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"malformed series JSON: out at alpha={list(alpha)} is not an integer ({exc})"
+                ) from exc
             if key in terms:
                 raise ValueError(
                     f"malformed series JSON: repeated entry out={key[0]} alpha={list(key[1])}"
                 )
-            real, imag = float(item.get("re", 0.0)), float(item.get("im", 0.0))
             if not (math.isfinite(real) and math.isfinite(imag)):
                 raise ValueError(
                     f"malformed series JSON: non-finite coefficient at "

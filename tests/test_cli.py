@@ -305,6 +305,26 @@ def test_series_json_non_finite_rejected(tmp_path, capsys, value):
     assert "non-finite coefficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ('[{"out": 0, "alpha": [1e400, 0], "re": 1.0}]', "alpha [inf, 0] is not a list of integers"),
+        ('[{"out": 0, "alpha": 5, "re": 1.0}]', "alpha must be a list, got 5"),
+        ("5", "coeffs must be a list, got 5"),
+        ("[5]", "coeffs item 5 is not an object"),
+    ],
+    ids=["infinite-exponent", "alpha-not-a-list", "coeffs-not-a-list", "item-not-an-object"],
+)
+def test_series_json_malformed_item_exits_1(tmp_path, capsys, coeffs, message):
+    # each of these once escaped as an internal error with exit 2
+    path = tmp_path / "bad.json"
+    path.write_text('{"domain_dim": 2, "codomain_dim": 1, "degree": 2, "coeffs": ' + coeffs + "}")
+    assert main(["diff", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed series JSON: {message}")
+
+
 def test_non_finite_result_is_not_written(capsys):
     with _stdin_text("(scale 1e308 [10 0])"):
         code = main(["eval", "-"])

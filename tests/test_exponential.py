@@ -138,8 +138,17 @@ def test_distribution_json_roundtrip():
         ([{"alpha": [1], "re": 1.0}], "has length 1, expected 2"),
         ([{"alpha": [2, 1], "re": 1.0}], "degree <= 2"),
         ([{"alpha": [-1, 1], "re": 1.0}], "degree <= 2"),
+        ([{"alpha": [2**70, 0], "re": 1.0}], "degree <= 2"),
+        ([{"alpha": [float("inf"), 0]}], "not a list of integers"),
+        ([{"alpha": 5}], "alpha must be a list"),
+        ([5], "is not an object"),
+        (5, "coeffs must be a list"),
     ],
-    ids=["repeated", "nan", "inf", "long-alpha", "short-alpha", "over-degree", "negative"],
+    ids=[
+        "repeated", "nan", "inf", "long-alpha", "short-alpha", "over-degree", "negative",
+        "past-int64", "infinite-exponent", "alpha-not-a-list", "item-not-an-object",
+        "coeffs-not-a-list",
+    ],
 )
 def test_distribution_json_malformed_entries(coeffs, message):
     with pytest.raises(ValueError, match=message):
@@ -444,6 +453,63 @@ def test_bang_linear_at_degree_0_is_the_identity():
     op = xp.bang_linear(np.array([[2.0, 3.0]]), 0)
     assert (op.source, op.target) == (xp.DistBasis(2, 0), xp.DistBasis(1, 0))
     np.testing.assert_array_equal(op.matrix, [[1.0]])
+
+
+def full_sort_power_table(g, max_exponent):
+    """The power table built by sorting the whole product table by target once,
+    then filtering it for each g_j: the construction the shipped one must match."""
+    n = g.codomain.dim
+    exps = mi.exponent_matrix(n, max_exponent)[1:]
+    last = n - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
+    parents = exps.copy()
+    parents[np.arange(len(exps)), last] -= 1
+    parent = mi.rank(parents)
+    degree = exps.sum(axis=1)
+    rows = np.arange(1, len(exps) + 1)
+    ia, ib, ic = mi.product_table(g.domain.dim, g.degree)
+    order = np.argsort(ic, kind="stable")
+    ia, ib, ic = ia[order], ib[order], ic[order]
+    table = np.zeros((len(exps) + 1, g.coeffs.shape[1]), dtype=np.complex128)
+    table[0, 0] = 1.0
+    for j in range(n):
+        keep = g.coeffs[j, ib] != 0
+        ja, jc, jw = ia[keep], ic[keep], g.coeffs[j, ib[keep]]
+        for k in range(1, max_exponent + 1):
+            batch = (last == j) & (degree == k)
+            if not batch.any():
+                continue
+            src = table[parent[batch]]
+            live = np.any(src != 0, axis=0)[ja]
+            a, c, w = ja[live], jc[live], jw[live]
+            if a.size:
+                starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+                table[rows[batch, None], c[starts]] = np.add.reduceat(
+                    src[:, a] * w, starts, axis=1
+                )
+    return table
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: xp.bang_map(sparse_series(rng, 2, 2, 4), 4),
+        lambda rng: xp.bang_map(sparse_series(rng, 3, 3, 6), 6),
+        lambda rng: xp.bang_linear(rand_vec(rng, 30).reshape(2, 15), 4),
+    ],
+    ids=["bang-2x4", "bang-3x6", "bang-linear-2x15-4"],
+)
+def test_power_table_matches_the_full_sort(monkeypatch, build):
+    shipped = build(np.random.default_rng(11)).matrix
+    monkeypatch.setattr(TruncatedSeries, "power_table", full_sort_power_table)
+    reference = build(np.random.default_rng(11)).matrix
+    assert shipped.tobytes() == reference.tobytes()
+
+
+def sparse_series(rng, dom, cod, degree):
+    """rand_series with about a third of the coefficients set to zero."""
+    f = rand_series(rng, dom, cod, degree)
+    coeffs = np.where(rng.random(f.coeffs.shape) < 0.3, 0, f.coeffs)
+    return TruncatedSeries.from_arrays(dom, cod, degree, coeffs)
 
 
 def test_bang_degree_guard():

@@ -1,9 +1,13 @@
 """Runtime code reads exponent rows and `rank`.  Only the multi-index module,
 the law harness and the check-only routes, which must not share the formula
-they check, build MultiIndex tuples or walk the enumeration."""
+they check, build MultiIndex tuples or walk the enumeration.  Importing the
+package and its CLI loads neither the law harness nor the term language."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dillcalc"
 GUARDED = {"MultiIndex", "enumerate_indices", "index_positions"}
@@ -45,3 +49,21 @@ def test_runtime_modules_do_not_walk_the_enumeration():
 def test_the_guard_sees_the_check_only_oracle():
     # compose_naive walks the enumeration on purpose; the walker must find it
     assert ("enumerate_indices", ("compose_naive",)) in guarded_calls(SRC / "calculus.py")
+
+
+def test_importing_the_cli_loads_only_what_every_subcommand_runs():
+    # laws (with numpy.random) and dsl are imported by the subcommands that use them
+    probe = (
+        "import sys, dillcalc, dillcalc.cli; "
+        "print([m for m in ('dillcalc.laws', 'dillcalc.dsl', 'numpy.random') if m in sys.modules])"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ def test_convolution_table_weights():
     idx = mi.enumerate_indices(dim, deg)
     for k in range(len(ia)):
         assert w[k] == mi.binom_componentwise(idx[ia[k]], idx[ib[k]])
+
+
+def test_pair_tables_build_without_pair_sized_temporaries():
+    # (15, 4) is the level-two space digging builds; the one-pass builder writes
+    # into its output arrays, so a cold build peaks well under two copies of them
+    mi.exponent_matrix(15, 4)
+    for table in (mi._pair_tables, mi.product_table, mi.convolution_table):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        out = mi.convolution_table(15, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out[0]) == 46376
+    assert peak <= 2 * sum(a.nbytes for a in out)
 
 
 def test_derivative_table_matches_manual():

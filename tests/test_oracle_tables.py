@@ -44,7 +44,7 @@ def test_enumeration_matches_sorted_tuples(dim, deg):
     np.testing.assert_array_equal(mi.exponent_matrix(dim, deg), graded_order(dim, deg))
 
 
-@pytest.mark.parametrize("dim,deg", CASES)
+@pytest.mark.parametrize("dim,deg", CASES + [(15, 2)])  # (15, 2): a level-two shape
 def test_product_and_convolution_tables(dim, deg):
     pos = graded_positions(dim, deg)
     want = [(pos[a], pos[b], pos[add(a, b)], weight(a, b)) for a, b in pairs(dim, deg)]
