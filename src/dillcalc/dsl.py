@@ -19,7 +19,10 @@ uncurry, diff, eval, dirac, theta, conv, coder, bang, hat, check, add, scale,
 mul.  `eval` applies whatever its first argument is: a series or curried
 series to point vectors, a distribution to a series, an operator to a
 distribution or coordinate vector.  `let` is only allowed at the top level.
-A form whose result leaves the float range is an EvalError at that form.
+
+Errors: an argument of the wrong kind is an EvalError at that argument.  A
+calculus error (a ValueError) and a result that leaves the float range are
+an EvalError at the form that raised it, and nowhere else.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ Node = Union[Num, Sym, Vec, CoeffMap, ListForm]
 # tokenizer and reader
 
 # Deepest nesting of (), [] and {} the recursive reader accepts.  Evaluation
-# and formatting recurse once or twice per level, so input within it stays
+# and formatting take two Python frames per level, so input within it stays
 # well inside Python's default recursion limit.
 MAX_NESTING = 200
 
@@ -321,34 +324,10 @@ def _loc(node: Node) -> Tuple[int, int]:
     return getattr(node, "line", 0), getattr(node, "col", 0)
 
 
-def _want_int(node: Node, what: str) -> int:
+def _want_int(node: Node, message: str) -> int:
     if isinstance(node, Num) and isinstance(node.value, int):
         return node.value
-    raise EvalError(f"{what} must be an integer literal", *_loc(node))
-
-
-def _want_scalar(value: Value, node: Node, what: str) -> complex:
-    if isinstance(value, np.ndarray) and value.size == 1:
-        return complex(value[0])
-    raise EvalError(f"{what} must be a scalar ([re im] pair or number)", *_loc(node))
-
-
-def _want_vector(value: Value, node: Node, what: str) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value
-    raise EvalError(f"{what} must be a vector literal", *_loc(node))
-
-
-def _want_series(value: Value, node: Node, what: str) -> TruncatedSeries:
-    if isinstance(value, TruncatedSeries):
-        return value
-    raise EvalError(f"{what} must be a series", *_loc(node))
-
-
-def _want_dist(value: Value, node: Node, what: str) -> xp.Distribution:
-    if isinstance(value, xp.Distribution):
-        return value
-    raise EvalError(f"{what} must be a distribution", *_loc(node))
+    raise EvalError(message, *_loc(node))
 
 
 def _coeffmap_terms(out: int, cmap: CoeffMap, dom: int) -> Dict[tuple, complex]:
@@ -372,12 +351,64 @@ def _coeffmap_terms(out: int, cmap: CoeffMap, dom: int) -> Dict[tuple, complex]:
     return terms
 
 
-def _arity(items, low: int, high: Optional[int], name: str, node: ListForm):
-    got = len(items)
-    top = high if high is not None else got
-    if not low <= got <= top:
-        wanted = str(low) if high == low else f"{low}..{'*' if high is None else high}"
-        raise EvalError(f"{name} expects {wanted} arguments, got {got}", *_loc(node))
+def _arity(args, low: int, high: int, name: str, node: ListForm) -> None:
+    if not low <= len(args) <= high:
+        wanted = str(low) if high == low else f"{low}..{high}"
+        raise EvalError(f"{name} expects {wanted} arguments, got {len(args)}", *_loc(node))
+
+
+# An argument kind is a name for messages and the value types an evaluated
+# argument must have; _INT instead takes an integer literal as written.
+_INT = ("an integer literal", None)
+_VECTOR = ("a vector", (np.ndarray,))
+_SERIES = ("a series", (TruncatedSeries,))
+_CURRIED = ("a curried series", (ca.CurriedSeries,))
+_DIST = ("a distribution", (xp.Distribution,))
+_OPERATOR = ("a linear operator", (xp.LinearOperator,))
+_DIST_OR_VECTOR = ("a distribution or coordinate vector", (xp.Distribution, np.ndarray))
+
+
+def _op(fn, *specs, required: Optional[int] = None):
+    """A table entry: the function, its (role, kind) argument specs, and how
+    many leading specs are required (all of them unless given)."""
+    return fn, specs, len(specs) if required is None else required
+
+
+def _diff(f: TruncatedSeries, coord: Optional[int] = None) -> TruncatedSeries:
+    return ca.derivative_series(f) if coord is None else f.partial_derivative(coord)
+
+
+_OPS = {
+    "compose": _op(ca.compose, ("first argument", _SERIES), ("second argument", _SERIES)),
+    "curry": _op(ca.curry, ("first argument", _SERIES), ("split position", _INT)),
+    "uncurry": _op(ca.uncurry, ("argument", _CURRIED)),
+    "diff": _op(_diff, ("first argument", _SERIES), ("coordinate", _INT), required=1),
+    "dirac": _op(xp.dirac, ("point", _VECTOR), ("degree", _INT)),
+    "theta": _op(xp.theta, ("order", _INT), ("point", _VECTOR), ("degree", _INT)),
+    "conv": _op(xp.convolve, ("first argument", _DIST), ("second argument", _DIST)),
+    "coder": _op(xp.codereliction, ("direction", _VECTOR), ("degree", _INT)),
+    "bang": _op(xp.bang_map, ("first argument", _SERIES), ("degree", _INT)),
+    "hat": _op(xp.series_to_operator, ("argument", _SERIES)),
+    "check": _op(xp.operator_to_series, ("argument", _OPERATOR)),
+    "mul": _op(
+        TruncatedSeries.pointwise_multiply,
+        ("first argument", _SERIES),
+        ("second argument", _SERIES),
+    ),
+}
+
+# `eval` applies its first argument to the rest, by the type of that value.
+_EVAL = {
+    TruncatedSeries: ("a series", _op(TruncatedSeries.evaluate, ("point", _VECTOR))),
+    ca.CurriedSeries: (
+        "a curried series",
+        _op(ca.CurriedSeries.evaluate, ("outer point", _VECTOR), ("inner point", _VECTOR)),
+    ),
+    xp.Distribution: ("a distribution", _op(xp.Distribution.apply, ("argument", _SERIES))),
+    xp.LinearOperator: (
+        "an operator", _op(xp.LinearOperator.__call__, ("argument", _DIST_OR_VECTOR))
+    ),
+}
 
 
 def evaluate_term(node: Node, env: Optional[Dict[str, Value]] = None) -> Value:
@@ -398,10 +429,16 @@ def evaluate_term(node: Node, env: Optional[Dict[str, Value]] = None) -> Value:
     if not isinstance(head, Sym):
         raise EvalError("a form starts with an operation name", *_loc(node))
     op = head.name
-    # an overflow is reported at the form where it happens, not as a numpy
-    # warning followed by a JSON error far from its source
+    # a calculus error or an overflow is reported at the form where it
+    # happens, not as a numpy warning followed by a JSON error far from its
+    # source; an EvalError from a nested form already carries its location
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _apply_op(node, op, node.items[1:], env)
+        try:
+            value = _apply_op(node, op, node.items[1:], env)
+        except EvalError:
+            raise
+        except ValueError as exc:
+            raise EvalError(str(exc), *_loc(node)) from exc
     if not all_finite(value):
         raise EvalError(f"{op}: result is outside the float range", *_loc(node))
     return value
@@ -422,127 +459,26 @@ def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
     if op == "series":
         return _eval_series_literal(node, args)
 
-    if op == "compose":
-        flag = False
-        if args and isinstance(args[-1], Sym) and args[-1].name == ":poly":
-            flag = True
-            args = args[:-1]
-        _arity(args, 2, 2, "compose", node)
-        f = _want_series(evaluate_term(args[0], env), args[0], "compose: first argument")
-        g = _want_series(evaluate_term(args[1], env), args[1], "compose: second argument")
-        try:
-            return ca.compose(f, g, outer_polynomial=flag)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    if op == "curry":
-        _arity(args, 2, 2, "curry", node)
-        f = _want_series(evaluate_term(args[0], env), args[0], "curry: first argument")
-        split = _want_int(args[1], "curry: split position")
-        try:
-            return ca.curry(f, split)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    if op == "uncurry":
-        _arity(args, 1, 1, "uncurry", node)
-        c = evaluate_term(args[0], env)
-        if not isinstance(c, ca.CurriedSeries):
-            raise EvalError("uncurry expects a curried series", *_loc(node))
-        return ca.uncurry(c)
-
-    if op == "diff":
-        _arity(args, 1, 2, "diff", node)
-        f = _want_series(evaluate_term(args[0], env), args[0], "diff: argument")
-        if len(args) == 2:
-            coord = _want_int(args[1], "diff: coordinate")
-            try:
-                return f.partial_derivative(coord)
-            except ValueError as exc:
-                raise EvalError(str(exc), *_loc(node)) from exc
-        return ca.derivative_series(f)
-
-    if op == "eval":
-        return _eval_apply(node, args, env)
-
-    if op == "dirac":
-        _arity(args, 2, 2, "dirac", node)
-        x = _want_vector(evaluate_term(args[0], env), args[0], "dirac: point")
-        deg = _want_int(args[1], "dirac: degree")
-        return xp.dirac(x, deg)
-
-    if op == "theta":
-        _arity(args, 3, 3, "theta", node)
-        order = _want_int(args[0], "theta: order")
-        x = _want_vector(evaluate_term(args[1], env), args[1], "theta: point")
-        deg = _want_int(args[2], "theta: degree")
-        try:
-            return xp.theta(order, x, deg)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    if op == "conv":
-        _arity(args, 2, 2, "conv", node)
-        d1 = _want_dist(evaluate_term(args[0], env), args[0], "conv: first argument")
-        d2 = _want_dist(evaluate_term(args[1], env), args[1], "conv: second argument")
-        try:
-            return xp.convolve(d1, d2)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    if op == "coder":
-        _arity(args, 2, 2, "coder", node)
-        v = _want_vector(evaluate_term(args[0], env), args[0], "coder: direction")
-        deg = _want_int(args[1], "coder: degree")
-        try:
-            return xp.codereliction(v, deg)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    if op == "bang":
-        _arity(args, 2, 2, "bang", node)
-        f = _want_series(evaluate_term(args[0], env), args[0], "bang: argument")
-        deg = _want_int(args[1], "bang: degree")
-        try:
-            return xp.bang_map(f, deg)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    if op == "hat":
-        _arity(args, 1, 1, "hat", node)
-        f = _want_series(evaluate_term(args[0], env), args[0], "hat: argument")
-        return xp.series_to_operator(f)
-
-    if op == "check":
-        _arity(args, 1, 1, "check", node)
-        g = evaluate_term(args[0], env)
-        if not isinstance(g, xp.LinearOperator):
-            raise EvalError("check expects a linear operator", *_loc(node))
-        try:
-            return xp.operator_to_series(g)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
     if op == "add":
         _arity(args, 2, 2, "add", node)
         a = evaluate_term(args[0], env)
         b = evaluate_term(args[1], env)
-        try:
-            if isinstance(a, TruncatedSeries) and isinstance(b, TruncatedSeries):
-                return a.add(b)
-            if isinstance(a, xp.Distribution) and isinstance(b, xp.Distribution):
-                return a.add(b)
-            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-                if a.size != b.size:
-                    raise EvalError("add: vector lengths differ", *_loc(node))
-                return a + b
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            if a.size != b.size:
+                raise EvalError("add: vector lengths differ", *_loc(node))
+            return a + b
+        if type(a) is type(b) and isinstance(a, (TruncatedSeries, xp.Distribution)):
+            return a.add(b)
         raise EvalError("add expects two series, two distributions or two vectors", *_loc(node))
 
     if op == "scale":
         _arity(args, 2, 2, "scale", node)
-        c = _want_scalar(evaluate_term(args[0], env), args[0], "scale: factor")
+        c = evaluate_term(args[0], env)
+        if not (isinstance(c, np.ndarray) and c.size == 1):
+            raise EvalError(
+                "scale: factor must be a scalar ([re im] pair or number)", *_loc(args[0])
+            )
+        c = complex(c[0])
         val = evaluate_term(args[1], env)
         if isinstance(val, (TruncatedSeries, xp.Distribution)):
             return val.scale(c)
@@ -550,16 +486,36 @@ def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
             return c * val
         raise EvalError("scale expects a series, distribution or vector", *_loc(node))
 
-    if op == "mul":
-        _arity(args, 2, 2, "mul", node)
-        f = _want_series(evaluate_term(args[0], env), args[0], "mul: first argument")
-        g = _want_series(evaluate_term(args[1], env), args[1], "mul: second argument")
-        try:
-            return f.pointwise_multiply(g)
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
-
-    raise EvalError(f"unknown operation {op!r}", *_loc(node))
+    values, kwargs = [], {}
+    if op == "eval":
+        if not args:
+            raise EvalError("eval expects at least 2 arguments", *_loc(node))
+        target = evaluate_term(args[0], env)
+        if type(target) not in _EVAL:
+            raise EvalError(
+                "eval applies a series, curried series, distribution or operator", *_loc(node)
+            )
+        what, (fn, specs, required) = _EVAL[type(target)]
+        op, args, values = f"eval of {what}", args[1:], [target]
+    else:
+        if op == "compose" and args and args[-1] == Sym(":poly"):
+            args, kwargs = args[:-1], {"outer_polynomial": True}
+        if op not in _OPS:
+            raise EvalError(f"unknown operation {op!r}", *_loc(node))
+        fn, specs, required = _OPS[op]
+    _arity(args, required, len(specs), op, node)
+    # a plain loop, so a nested argument costs two frames (this one and
+    # evaluate_term's) and MAX_NESTING levels stay inside the recursion limit
+    for (role, (what, types)), arg in zip(specs, args):
+        message = f"{op} expects {what} as its {role}"
+        if types is None:
+            values.append(_want_int(arg, message))
+            continue
+        value = evaluate_term(arg, env)
+        if not isinstance(value, types):
+            raise EvalError(message, *_loc(arg))
+        values.append(value)
+    return fn(*values, **kwargs)
 
 
 def _eval_series_literal(node: ListForm, args) -> TruncatedSeries:
@@ -571,7 +527,7 @@ def _eval_series_literal(node: ListForm, args) -> TruncatedSeries:
         if isinstance(item, Sym) and item.name in (":dom", ":cod", ":deg"):
             if i + 1 >= len(args):
                 raise EvalError(f"{item.name} needs a value", *_loc(item))
-            v = _want_int(args[i + 1], item.name)
+            v = _want_int(args[i + 1], f"{item.name} must be an integer literal")
             if item.name == ":dom":
                 dom = v
             elif item.name == ":cod":
@@ -595,41 +551,7 @@ def _eval_series_literal(node: ListForm, args) -> TruncatedSeries:
     terms: Dict[tuple, complex] = {}
     for out, cmap in enumerate(maps):
         terms.update(_coeffmap_terms(out, cmap, dom))
-    try:
-        return TruncatedSeries.from_terms(dom, cod, deg, terms)
-    except ValueError as exc:
-        raise EvalError(str(exc), *_loc(node)) from exc
-
-
-def _eval_apply(node: ListForm, args, env) -> np.ndarray:
-    if not args:
-        raise EvalError("eval expects at least 2 arguments", *_loc(node))
-    target = evaluate_term(args[0], env)
-    rest = args[1:]
-    try:
-        if isinstance(target, TruncatedSeries):
-            _arity(rest, 1, 1, "eval of a series", node)
-            x = _want_vector(evaluate_term(rest[0], env), rest[0], "eval: point")
-            return target.evaluate(x)
-        if isinstance(target, ca.CurriedSeries):
-            _arity(rest, 2, 2, "eval of a curried series", node)
-            x = _want_vector(evaluate_term(rest[0], env), rest[0], "eval: outer point")
-            y = _want_vector(evaluate_term(rest[1], env), rest[1], "eval: inner point")
-            return target.evaluate(x, y)
-        if isinstance(target, xp.Distribution):
-            _arity(rest, 1, 1, "eval of a distribution", node)
-            f = _want_series(evaluate_term(rest[0], env), rest[0], "eval: series")
-            return target.apply(f)
-        if isinstance(target, xp.LinearOperator):
-            _arity(rest, 1, 1, "eval of an operator", node)
-            arg = evaluate_term(rest[0], env)
-            out = target(arg)
-            return out
-    except ValueError as exc:
-        raise EvalError(str(exc), *_loc(node)) from exc
-    raise EvalError(
-        "eval applies a series, curried series, distribution or operator", *_loc(node)
-    )
+    return TruncatedSeries.from_terms(dom, cod, deg, terms)
 
 
 def evaluate_program(forms: List[Node]) -> Tuple[Dict[str, Value], Optional[Value]]:

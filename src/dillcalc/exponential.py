@@ -34,7 +34,9 @@ from typing import Union
 import numpy as np
 
 from . import multiindex as mi
-from .series import FiniteSpace, TruncatedSeries, _check_degree, _json_entries, _monomials_at
+from .series import (
+    FiniteSpace, TruncatedSeries, _check_degree, _json_entries, _json_int, _monomials_at
+)
 
 DIGGING_DIM_BOUND = 5000
 
@@ -133,10 +135,10 @@ class Distribution:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Distribution":
         try:
-            dim = int(data["dim"])
-            degree = int(data["degree"])
+            dim = _json_int(data["dim"], "dim")
+            degree = _json_int(data["degree"], "degree")
             raw = data.get("coeffs", [])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed distribution JSON: {exc}") from exc
         arr = np.zeros(mi.count_indices(dim, degree), dtype=np.complex128)
         entries = {}
@@ -405,7 +407,7 @@ def counit(dim: int, degree: int) -> LinearOperator:
     )
 
 
-def comultiplication(dim: int, inner_degree: int, outer_degree: int | None = None) -> LinearOperator:
+def comultiplication(dim: int, degree: int) -> LinearOperator:
     """Digging !E -> !!E determined by delta_x -> delta_(delta_x).
 
     The coefficient of delta_(delta_x) at the outer index A is
@@ -413,22 +415,21 @@ def comultiplication(dim: int, inner_degree: int, outer_degree: int | None = Non
     placing each outer index A at the inner index sum_j A_j alpha_j, and rows
     whose inner index overflows the inner degree stay zero.
     """
-    inner_degree = _check_degree(inner_degree)
-    outer_degree = inner_degree if outer_degree is None else _check_degree(outer_degree)
-    n_inner = mi.count_indices(dim, inner_degree)
-    n_outer = mi.count_indices(n_inner, outer_degree)
+    degree = _check_degree(degree)
+    n_inner = mi.count_indices(dim, degree)
+    n_outer = mi.count_indices(n_inner, degree)
     if n_outer > DIGGING_DIM_BOUND:
         raise ValueError(
             f"digging target dimension {n_outer} exceeds the bound {DIGGING_DIM_BOUND} "
-            f"(dimension {dim}, inner degree {inner_degree}, outer degree {outer_degree})"
+            f"(dimension {dim}, degree {degree})"
         )
-    inner_exps = mi.exponent_matrix(dim, inner_degree)  # (n_inner, dim)
-    outer_exps = mi.exponent_matrix(n_inner, outer_degree)  # (n_outer, n_inner)
+    inner_exps = mi.exponent_matrix(dim, degree)  # (n_inner, dim)
+    outer_exps = mi.exponent_matrix(n_inner, degree)  # (n_outer, n_inner)
     images = outer_exps @ inner_exps  # row r: the inner multi-index hit by row r
-    rows = np.flatnonzero(images.sum(axis=1) <= inner_degree)
+    rows = np.flatnonzero(images.sum(axis=1) <= degree)
     return LinearOperator.from_entries(
-        DistBasis(dim, inner_degree),
-        DistBasis(n_inner, outer_degree),
+        DistBasis(dim, degree),
+        DistBasis(n_inner, degree),
         rows,
         mi.rank(images[rows]),
         np.ones(rows.size),

@@ -62,6 +62,21 @@ class FiniteSpace:
             raise ValueError("empty space: dimension must be at least 1")
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer: a Python int that is not a bool.  int() would also read
+    1.5, "2" and true, and so misread a malformed file."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _json_float(value, name: str) -> float:
+    """A JSON number as a float; a string or a bool is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _json_entries(raw, kind: str):
     """Yield (item, alpha, re, im) for each item of the `coeffs` list of a
     series or distribution JSON; a malformed list or item is a ValueError."""
@@ -74,14 +89,15 @@ def _json_entries(raw, kind: str):
         if not isinstance(alpha, list):
             raise ValueError(f"malformed {kind} JSON: alpha must be a list, got {alpha!r}")
         try:
-            exps = tuple(int(e) for e in alpha)
-        except (TypeError, ValueError, OverflowError) as exc:
+            exps = tuple(_json_int(e, "exponent") for e in alpha)
+        except ValueError as exc:
             raise ValueError(
                 f"malformed {kind} JSON: alpha {alpha} is not a list of integers ({exc})"
             ) from exc
         try:
-            real, imag = float(item.get("re", 0.0)), float(item.get("im", 0.0))
-        except (TypeError, ValueError, OverflowError) as exc:
+            real = _json_float(item.get("re", 0.0), "re")
+            imag = _json_float(item.get("im", 0.0), "im")
+        except (ValueError, OverflowError) as exc:
             raise ValueError(
                 f"malformed {kind} JSON: coefficient at alpha={alpha} is not a number ({exc})"
             ) from exc
@@ -349,17 +365,17 @@ class TruncatedSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedSeries":
         try:
-            dom = int(data["domain_dim"])
-            cod = int(data["codomain_dim"])
-            degree = int(data["degree"])
+            dom = _json_int(data["domain_dim"], "domain_dim")
+            cod = _json_int(data["codomain_dim"], "codomain_dim")
+            degree = _json_int(data["degree"], "degree")
             raw = data.get("coeffs", [])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
         terms = {}
         for item, alpha, real, imag in _json_entries(raw, "series"):
             try:
-                key = (int(item.get("out", 0)), alpha)
-            except (TypeError, ValueError, OverflowError) as exc:
+                key = (_json_int(item.get("out", 0), "out"), alpha)
+            except ValueError as exc:
                 raise ValueError(
                     f"malformed series JSON: out at alpha={list(alpha)} is not an integer ({exc})"
                 ) from exc

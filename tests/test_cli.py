@@ -312,17 +312,65 @@ def test_series_json_non_finite_rejected(tmp_path, capsys, value):
         ('[{"out": 0, "alpha": 5, "re": 1.0}]', "alpha must be a list, got 5"),
         ("5", "coeffs must be a list, got 5"),
         ("[5]", "coeffs item 5 is not an object"),
+        ('[{"out": 0, "alpha": [1.5, 0], "re": 1.0}]', "alpha [1.5, 0] is not a list of integers"),
+        ('[{"out": 0, "alpha": ["0", "1"]}]', "alpha ['0', '1'] is not a list of integers"),
+        ('[{"out": 0, "alpha": [true, 0]}]', "alpha [True, 0] is not a list of integers"),
+        ('[{"out": 0.9, "alpha": [1, 0]}]', "out at alpha=[1, 0] is not an integer"),
+        ('[{"out": 0, "alpha": [1, 0], "re": "2"}]', "coefficient at alpha=[1, 0] is not a number"),
+        (
+            '[{"out": 0, "alpha": [1, 0], "im": true}]',
+            "coefficient at alpha=[1, 0] is not a number",
+        ),
+        # json.loads keeps the last of a repeated key, so these override the header
+        ('[], "domain_dim": 2.7', "domain_dim must be an integer, got 2.7"),
+        ('[], "degree": "2"', "degree must be an integer, got '2'"),
     ],
-    ids=["infinite-exponent", "alpha-not-a-list", "coeffs-not-a-list", "item-not-an-object"],
+    ids=[
+        "infinite-exponent", "alpha-not-a-list", "coeffs-not-a-list", "item-not-an-object",
+        "fractional-exponent", "string-exponent", "bool-exponent", "fractional-out", "string-re",
+        "bool-im", "fractional-domain-dim", "string-degree",
+    ],
 )
 def test_series_json_malformed_item_exits_1(tmp_path, capsys, coeffs, message):
-    # each of these once escaped as an internal error with exit 2
+    # each of these once escaped as an internal error with exit 2, or was
+    # read through int() or float() as a different series with exit 0
     path = tmp_path / "bad.json"
     path.write_text('{"domain_dim": 2, "codomain_dim": 1, "degree": 2, "coeffs": ' + coeffs + "}")
     assert main(["diff", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed series JSON: {message}")
+
+
+_BOUND = (
+    "(let f (series :dom 1 :cod 1 :deg 2 {(1) -> 2})) "
+    "(let g (series :dom 2 :cod 1 :deg 2 {(1 1) -> 1}))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "form, error",
+    [
+        ("(eval (hat f) f)", "line 2, col 15: eval of an operator expects a distribution"),
+        ("(eval (bang f 2) f)", "line 2, col 18: eval of an operator expects a distribution"),
+        ("(eval (hat f) (curry g 1))", "line 2, col 15: eval of an operator expects"),
+        ("(eval f f)", "line 2, col 9: eval of a series expects a vector as its point"),
+        ("(dirac [1 0] 99)", "line 2, col 1: truncation degree 99 exceeds the global cap"),
+        ("(dirac [] 2)", "line 2, col 1: empty space"),
+    ],
+    ids=["hat-of-series", "bang-of-series", "hat-of-curried", "series-at-series",
+         "dirac-over-cap", "dirac-empty-point"],
+)
+def test_eval_malformed_term_is_one_located_error(capsys, form, error):
+    # these once exited 2 with a TypeError, printed the location twice, or
+    # printed no location at all
+    with _stdin_text(_BOUND + form):
+        code = main(["eval", "-"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}")
+    assert captured.err.count("line ") == 1 and captured.err.count("\n") == 1
 
 
 def test_non_finite_result_is_not_written(capsys):
@@ -410,6 +458,18 @@ def test_eval_deep_nesting_rejected(capsys):
     with _stdin_text("(add [1 0] " * depth + "[1 0]" + ")" * depth):
         assert main(["eval", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["values"] == [[dsl.MAX_NESTING, 0.0]]
+    # table ops too: each level must stay at two frames, or this chain
+    # reaches the recursion limit and exits 2
+    f = "(let f (series :dom 2 :cod 1 :deg 2 {(1 0) -> 1.0}))\n"
+    half = depth // 2
+    with _stdin_text(f + "(uncurry (curry " * half + "f" + " 1))" * half):
+        assert main(["eval", "-"]) == 0
+    with _stdin_text(f + "(check (hat " * half + "f" + "))" * half):
+        assert main(["eval", "-"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["kind"] == "series"
+    with _stdin_text(f + "(hat " * depth + "f" + ")" * depth):
+        assert main(["eval", "-"]) == 1
+    assert "hat expects a series as its argument" in capsys.readouterr().err
 
 
 class _stdin_text:

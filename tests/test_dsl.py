@@ -1,7 +1,11 @@
+import copy
+import functools
 import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dillcalc import calculus as ca
 from dillcalc import dsl
@@ -25,7 +29,8 @@ from dillcalc.dsl import (
 )
 from dillcalc.series import TruncatedSeries
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "dsl_examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "dsl_examples"
 
 
 def ev(text, env=None):
@@ -308,3 +313,191 @@ def test_examples_format_cleanly():
         forms = parse_program(EXAMPLES.joinpath(name).read_text())
         printed = format_program(forms)
         assert parse_program(printed) == forms
+
+
+# -- documentation -----------------------------------------------------------
+
+
+def test_documented_operations_match_the_tables():
+    ops = set(dsl._OPS) | {"eval", "add", "scale"}  # eval has its own table
+    listed = re.search(r"Operations:(.*?)\.", dsl.__doc__, re.S).group(1)
+    assert set(re.findall(r"[a-z]+", listed)) == ops
+    readme = ROOT.joinpath("README.md").read_text()
+    section = readme.split("## Term language", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"Operations:(.*?)\.", section, re.S).group(1)
+    assert set(re.findall(r"`([a-z]+)`", listed)) == ops
+    for name in ops:
+        with pytest.raises(EvalError) as err:
+            ev(f"({name})")
+        assert "unknown operation" not in str(err.value)
+
+
+# -- fuzz: malformed input is a ParseError or EvalError, never anything else --
+#
+# Bases stay at dimension <= 3 and degree <= 4, so each example runs in
+# milliseconds.  Oversize bases, such as (series :dom 40 :cod 1 :deg 8 {}),
+# still hang and are not generated here.
+
+_PRELUDE = """
+(let f (series :dom 1 :cod 1 :deg 3 {(1) -> 2 (2) -> [0 1]}))
+(let g (series :dom 2 :cod 2 :deg 3 {(1 0) -> 1} {(0 1) -> 1 (1 1) -> 2}))
+(let c (curry (series :dom 2 :cod 1 :deg 2 {(1 1) -> 1}) 1))
+(let d (dirac [1 0] 3))
+(let o (hat f))
+(let v [1 0 0 1])
+"""
+_HEADS = sorted(dsl._OPS) + ["eval", "add", "scale", "series", "let", "nobody"]
+_NAMES = st.sampled_from(["f", "g", "c", "d", "o", "v", "h", "nobody"])
+
+
+@st.composite
+def _series_literals(draw):
+    dom, cod, deg = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 4))
+    key = st.lists(st.integers(0, 2), min_size=dom, max_size=dom)
+    value = st.sampled_from(["1", "-0.5", "[0 1]"])
+    maps = []
+    for _ in range(cod):
+        entries = draw(st.lists(st.tuples(key, value), max_size=3, unique_by=lambda e: tuple(e[0])))
+        maps.append("{" + " ".join(f"({' '.join(map(str, k))}) -> {x}" for k, x in entries) + "}")
+    return f"(series :dom {dom} :cod {cod} :deg {deg} {' '.join(maps)})"
+
+
+_LITERALS = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["0.5", "-1.5", "1e308", ":poly", ":dom", ":cod", ":deg", "{(1) -> 1}"]),
+    st.lists(st.sampled_from(["0 1", "1 0", "-0.5 2"]), max_size=3).map(
+        lambda xs: "[" + " ".join(xs) + "]"
+    ),
+    _series_literals(),
+)
+
+
+def _terms(depth):
+    """A name (bound or not), a literal, or an operation nested up to `depth`."""
+    if depth == 0:
+        return st.one_of(_NAMES, _LITERALS)
+    return st.one_of(_NAMES, _LITERALS, _operations(depth))
+
+
+# Names bound by the prelude, by type; None stands for an integer literal.
+_OF_TYPE = {
+    TruncatedSeries: ["f", "g"],
+    ca.CurriedSeries: ["c"],
+    xp.Distribution: ["d"],
+    xp.LinearOperator: ["o"],
+    np.ndarray: ["v", "[1 0]"],
+    None: ["0", "2", "4"],
+}
+
+
+def _argument_types(head):
+    """The types each argument of `head` may have, as the tables give them."""
+    if head in dsl._OPS:
+        return [kind[1] or (None,) for _, kind in dsl._OPS[head][1]]
+    if head == "eval":
+        return [tuple(dsl._EVAL), tuple(_OF_TYPE)]
+    return [tuple(_OF_TYPE)] * 2
+
+
+_ANY_NAME = st.sampled_from([n for names in _OF_TYPE.values() for n in names])
+
+
+def _operations(depth):
+    """(head arg ...): an argument is a name of a type the head accepts, any
+    bound name, or any term; two times in five the count is off by one."""
+
+    def form(head):
+        inner = _terms(depth - 1)
+        hints = [
+            st.one_of(st.sampled_from([n for t in types for n in _OF_TYPE[t]]), _ANY_NAME, inner)
+            for types in _argument_types(head)
+        ]
+        count = st.sampled_from([len(hints)] * 3 + [len(hints) - 1, len(hints) + 1])
+        args = count.flatmap(lambda n: st.tuples(*(hints + [inner])[:n]))
+        return args.map(lambda xs: "(" + " ".join([head, *xs]) + ")")
+
+    return st.sampled_from(_HEADS).flatmap(form)
+
+
+_PROGRAMS = st.lists(
+    st.one_of(*[_operations(4)] * 3, _operations(3).map(lambda t: f"(let h {t})")),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROGRAMS)
+@example(["(eval o f)"])  # each of these once exited 2 with a TypeError
+@example(["(eval (bang f 2) f)"])
+@example(["(eval o c)"])
+def test_fuzz_terms_raise_only_parse_or_eval_errors(forms):
+    text = _PRELUDE + "\n".join(forms)
+    try:
+        evaluate_program(parse_program(text))
+    except (ParseError, EvalError):
+        pass
+
+
+# Any JSON value.  Integers stay small: a large domain_dim, codomain_dim or
+# dim is an oversize basis, which the loaders do not refuse yet.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_MISSING = object()
+
+_SERIES_DOC = {
+    "domain_dim": 2,
+    "codomain_dim": 2,
+    "degree": 3,
+    "coeffs": [
+        {"out": 0, "alpha": [1, 0], "re": 1.5, "im": -0.5},
+        {"out": 1, "alpha": [0, 2], "re": 1.0},
+    ],
+}
+_DIST_DOC = {
+    "dim": 2,
+    "degree": 3,
+    "coeffs": [{"alpha": [1, 0], "re": 1.5, "im": -0.5}, {"alpha": [0, 2], "re": 1.0}],
+}
+
+
+def _locations(doc, path=()):
+    """Every path into `doc`, its root included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _locations(value, path + (key,))
+
+
+_TARGETS = [
+    (load, doc, path)
+    for load, doc in [
+        (TruncatedSeries.from_json_dict, _SERIES_DOC),
+        (xp.Distribution.from_json_dict, _DIST_DOC),
+    ]
+    for path in _locations(doc)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_TARGETS), _JSON | st.just(_MISSING))
+def test_fuzz_json_loaders_raise_only_value_errors(target, value):
+    # one field, list, item or exponent of a valid file is replaced or removed
+    load, doc, path = target
+    data = copy.deepcopy(doc)
+    if not path:
+        data = value
+    else:
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], data)
+        if value is _MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        load(data)
+    except ValueError:
+        pass

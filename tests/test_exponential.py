@@ -143,16 +143,36 @@ def test_distribution_json_roundtrip():
         ([{"alpha": 5}], "alpha must be a list"),
         ([5], "is not an object"),
         (5, "coeffs must be a list"),
+        ([{"alpha": [1.5, 0], "re": 1.0}], "not a list of integers"),
+        ([{"alpha": ["0", "1"], "re": 1.0}], "not a list of integers"),
+        ([{"alpha": [True, 0], "re": 1.0}], "not a list of integers"),
+        ([{"alpha": [1, 0], "re": "2"}], "is not a number"),
+        ([{"alpha": [1, 0], "im": False}], "is not a number"),
     ],
     ids=[
         "repeated", "nan", "inf", "long-alpha", "short-alpha", "over-degree", "negative",
         "past-int64", "infinite-exponent", "alpha-not-a-list", "item-not-an-object",
-        "coeffs-not-a-list",
+        "coeffs-not-a-list", "fractional-exponent", "string-exponent", "bool-exponent",
+        "string-re", "bool-im",
     ],
 )
 def test_distribution_json_malformed_entries(coeffs, message):
     with pytest.raises(ValueError, match=message):
         xp.Distribution.from_json_dict({"dim": 2, "degree": 2, "coeffs": coeffs})
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ({"dim": 2.7, "degree": 2}, "dim must be an integer, got 2.7"),
+        ({"dim": True, "degree": 2}, "dim must be an integer, got True"),
+        ({"dim": 2, "degree": "2"}, "degree must be an integer, got '2'"),
+    ],
+    ids=["fractional-dim", "bool-dim", "string-degree"],
+)
+def test_distribution_json_header_must_be_integers(header, message):
+    with pytest.raises(ValueError, match=f"malformed distribution JSON: {message}"):
+        xp.Distribution.from_json_dict(dict(header, coeffs=[]))
 
 
 def test_codereliction_is_first_extractor():
