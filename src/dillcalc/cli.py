@@ -106,6 +106,9 @@ def _cmd_check_laws(args) -> int:
     seed = {} if args.seed is None else {"seed": args.seed}
     config = laws_mod.LawConfig(dim=args.dim, degree=args.deg, **seed)
     names = args.law if args.law else None
+    for name in names or ():
+        if name not in laws_mod.LAWS:
+            raise ValueError(f"unknown law {name!r}")
     reports = laws_mod.run_suite(config, names)
     if args.json:
         sys.stdout.write(
@@ -127,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dillcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[], help="evaluate a term file and print the last value")
+    p = sub.add_parser("eval", help="evaluate a term file and print the last value")
     p.add_argument("file", help="term file, or - for stdin")
     p.add_argument("-o", "--output", default=None, help="write result here instead of stdout")
     p.set_defaults(func=_cmd_eval)

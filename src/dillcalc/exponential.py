@@ -35,7 +35,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .series import (
-    FiniteSpace, TruncatedSeries, _check_degree, _json_entries, _json_int, _monomials_at
+    FiniteSpace, TruncatedSeries, _check_degree, _json_int, _json_terms, _monomials_at
 )
 
 DIGGING_DIM_BOUND = 5000
@@ -140,33 +140,9 @@ class Distribution:
             raw = data.get("coeffs", [])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed distribution JSON: {exc}") from exc
-        arr = np.zeros(mi.count_indices(dim, degree), dtype=np.complex128)
-        entries = {}
-        for _, alpha, real, imag in _json_entries(raw, "distribution"):
-            if len(alpha) != dim:
-                raise ValueError(
-                    f"malformed distribution JSON: alpha {list(alpha)} has length "
-                    f"{len(alpha)}, expected {dim}"
-                )
-            if alpha in entries:
-                raise ValueError(
-                    f"malformed distribution JSON: repeated entry alpha={list(alpha)}"
-                )
-            if not (math.isfinite(real) and math.isfinite(imag)):
-                raise ValueError(
-                    f"malformed distribution JSON: non-finite coefficient at alpha={list(alpha)}"
-                )
-            entries[alpha] = complex(real, imag)
-        # Python ints compare exactly, so an exponent past int64 is over-degree
-        exps = np.array(list(entries), dtype=object).reshape(-1, dim)
-        bad = (exps < 0).any(axis=1) | (exps.sum(axis=1) > degree)
-        if bad.any():
-            raise ValueError(
-                f"malformed distribution JSON: alpha {exps[np.argmax(bad)].tolist()} "
-                f"is not a multi-index of degree <= {degree}"
-            )
-        arr[mi.rank(exps.astype(np.int64))] = list(entries.values())
-        return cls(dim, degree, arr)
+        # a distribution is stored as the coefficient row of a scalar series
+        row = TruncatedSeries.from_terms(dim, 1, degree, _json_terms(raw, "distribution"))
+        return cls(dim, degree, row.coeffs[0])
 
 
 def dirac(x, degree: int) -> Distribution:

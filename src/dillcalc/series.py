@@ -6,6 +6,10 @@ of x^alpha_p in component j, where alpha_p is row p of
 `multiindex.exponent_matrix(m, D)` and p = `multiindex.rank(alpha_p)`.
 Coefficient arrays are immutable.
 
+`TruncatedSeries.from_terms` is the one place where coefficient keys are
+checked: the series and distribution JSON loaders and the term language's
+coefficient maps all build through it.
+
 The environment variable DILL_SERIES_MAX_DEGREE (default 8) caps truncation
 degrees globally; constructors reject anything larger.
 """
@@ -77,11 +81,12 @@ def _json_float(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _json_entries(raw, kind: str):
-    """Yield (item, alpha, re, im) for each item of the `coeffs` list of a
-    series or distribution JSON; a malformed list or item is a ValueError."""
+def _json_terms(raw, kind: str) -> dict:
+    """The `coeffs` list of a series or distribution JSON as {(out, alpha): value};
+    a malformed item, a repeated key or a non-finite value is a ValueError."""
     if not isinstance(raw, list):
         raise ValueError(f"malformed {kind} JSON: coeffs must be a list, got {raw!r}")
+    terms = {}
     for item in raw:
         if not isinstance(item, dict):
             raise ValueError(f"malformed {kind} JSON: coeffs item {item!r} is not an object")
@@ -101,7 +106,19 @@ def _json_entries(raw, kind: str):
             raise ValueError(
                 f"malformed {kind} JSON: coefficient at alpha={alpha} is not a number ({exc})"
             ) from exc
-        yield item, exps, real, imag
+        try:
+            key = (_json_int(item.get("out", 0), "out"), exps)
+        except ValueError as exc:
+            raise ValueError(
+                f"malformed {kind} JSON: out at alpha={alpha} is not an integer ({exc})"
+            ) from exc
+        where = f"out={key[0]} alpha={alpha}"
+        if key in terms:
+            raise ValueError(f"malformed {kind} JSON: repeated entry {where}")
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise ValueError(f"malformed {kind} JSON: non-finite coefficient at {where}")
+        terms[key] = complex(real, imag)
+    return terms
 
 
 def _monomials_at(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
@@ -154,7 +171,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_terms(cls, dom_dim: int, cod_dim: int, degree: int, terms) -> "TruncatedSeries":
-        """Build from a mapping {(out_component, alpha): coefficient}."""
+        """Build from {(out_component, alpha): coefficient}, checking every key first."""
+        domain, codomain = FiniteSpace(dom_dim), FiniteSpace(cod_dim)
         degree = _check_degree(degree)
         for j, alpha in terms:
             if len(alpha) != dom_dim:
@@ -175,7 +193,7 @@ class TruncatedSeries:
             raise ValueError(f"multi-index {tuple(alphas[k])} exceeds degree {degree}")
         arr = np.zeros((cod_dim, mi.count_indices(dom_dim, degree)), dtype=np.complex128)
         arr[[j for j, _ in terms], mi.rank(exps.astype(np.int64))] = list(terms.values())
-        return cls(FiniteSpace(dom_dim), FiniteSpace(cod_dim), degree, arr)
+        return cls(domain, codomain, degree, arr)
 
     @classmethod
     def identity(cls, dim: int, degree: int) -> "TruncatedSeries":
@@ -288,8 +306,6 @@ class TruncatedSeries:
             ja, jc, jw = ia[keep], ic[keep], self.coeffs[j, ib[keep]]
             for k in range(1, max_exponent + 1):
                 batch = (last == j) & (degree == k)
-                if not batch.any():
-                    continue
                 src = table[parent[batch]]
                 live = np.any(src != 0, axis=0)[ja]
                 a, c, w = ja[live], jc[live], jw[live]
@@ -371,25 +387,7 @@ class TruncatedSeries:
             raw = data.get("coeffs", [])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
-        terms = {}
-        for item, alpha, real, imag in _json_entries(raw, "series"):
-            try:
-                key = (_json_int(item.get("out", 0), "out"), alpha)
-            except ValueError as exc:
-                raise ValueError(
-                    f"malformed series JSON: out at alpha={list(alpha)} is not an integer ({exc})"
-                ) from exc
-            if key in terms:
-                raise ValueError(
-                    f"malformed series JSON: repeated entry out={key[0]} alpha={list(key[1])}"
-                )
-            if not (math.isfinite(real) and math.isfinite(imag)):
-                raise ValueError(
-                    f"malformed series JSON: non-finite coefficient at "
-                    f"out={key[0]} alpha={list(key[1])}"
-                )
-            terms[key] = complex(real, imag)
-        return cls.from_terms(dom, cod, degree, terms)
+        return cls.from_terms(dom, cod, degree, _json_terms(raw, "series"))
 
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":

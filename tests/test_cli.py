@@ -208,6 +208,14 @@ def test_check_laws_unknown_law(capsys):
     assert "unknown law" in capsys.readouterr().err
 
 
+def test_check_laws_unknown_law_runs_none(capsys):
+    # the known law once ran first, and the name was printed in doubled quotes
+    assert main(["check-laws", "--law", "multiindex-count", "--law", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown law 'nope'\n"
+
+
 def test_series_json_shape_is_stable(tmp_path, capsys):
     # the on-disk format: flat coeffs list with out/alpha/re/im entries
     f = series_file(tmp_path, "f.json", 2, 1, 2, {(0, (1, 1)): 1.5})
@@ -273,6 +281,19 @@ def test_series_json_bad_term_wording(tmp_path, capsys, entry, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "header", [{"domain_dim": -1}, {"codomain_dim": -1}], ids=["domain", "codomain"]
+)
+def test_series_json_negative_dimension_wording(tmp_path, capsys, header):
+    # these once reached numpy and printed its reshape or allocation error
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict({"domain_dim": 2, "codomain_dim": 1, "degree": 2}, **header)))
+    assert main(["diff", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty space: dimension must be at least 1\n"
 
 
 @pytest.mark.parametrize(
@@ -357,9 +378,13 @@ _BOUND = (
         ("(eval f f)", "line 2, col 9: eval of a series expects a vector as its point"),
         ("(dirac [1 0] 99)", "line 2, col 1: truncation degree 99 exceeds the global cap"),
         ("(dirac [] 2)", "line 2, col 1: empty space"),
+        (
+            "(series :dom -1 :cod 1 :deg 1 {})",
+            "line 2, col 1: empty space: dimension must be at least 1",
+        ),
     ],
     ids=["hat-of-series", "bang-of-series", "hat-of-curried", "series-at-series",
-         "dirac-over-cap", "dirac-empty-point"],
+         "dirac-over-cap", "dirac-empty-point", "negative-domain"],
 )
 def test_eval_malformed_term_is_one_located_error(capsys, form, error):
     # these once exited 2 with a TypeError, printed the location twice, or

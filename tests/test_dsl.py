@@ -485,6 +485,13 @@ _TARGETS = [
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_TARGETS), _JSON | st.just(_MISSING))
+# a negative dimension once reached numpy's reshape or allocation, and a
+# distribution's coefficient vector was once allocated before the degree cap
+@example((TruncatedSeries.from_json_dict, _SERIES_DOC, ("domain_dim",)), -1)
+@example((TruncatedSeries.from_json_dict, _SERIES_DOC, ("codomain_dim",)), -1)
+@example((xp.Distribution.from_json_dict, _DIST_DOC, ("dim",)), -1)
+@example((TruncatedSeries.from_json_dict, _SERIES_DOC, ("degree",)), 3000)
+@example((xp.Distribution.from_json_dict, _DIST_DOC, ("degree",)), 3000)
 def test_fuzz_json_loaders_raise_only_value_errors(target, value):
     # one field, list, item or exponent of a valid file is replaced or removed
     load, doc, path = target

@@ -134,11 +134,11 @@ def test_distribution_json_roundtrip():
         ([{"alpha": [1, 0], "re": 1.0}, {"alpha": [1, 0], "re": 2.0}], "repeated entry"),
         ([{"alpha": [1, 0], "re": float("nan")}], "non-finite"),
         ([{"alpha": [1, 0], "im": float("inf")}], "non-finite"),
-        ([{"alpha": [1, 0, 0], "re": 1.0}], "has length 3, expected 2"),
-        ([{"alpha": [1], "re": 1.0}], "has length 1, expected 2"),
-        ([{"alpha": [2, 1], "re": 1.0}], "degree <= 2"),
-        ([{"alpha": [-1, 1], "re": 1.0}], "degree <= 2"),
-        ([{"alpha": [2**70, 0], "re": 1.0}], "degree <= 2"),
+        ([{"alpha": [1, 0, 0], "re": 1.0}], r"multi-index \(1, 0, 0\) has dimension 3, expected 2"),
+        ([{"alpha": [1], "re": 1.0}], r"multi-index \(1,\) has dimension 1, expected 2"),
+        ([{"alpha": [2, 1], "re": 1.0}], r"multi-index \(2, 1\) exceeds degree 2"),
+        ([{"alpha": [-1, 1], "re": 1.0}], r"negative exponent in multi-index \(-1, 1\)"),
+        ([{"alpha": [2**70, 0], "re": 1.0}], rf"multi-index \({2**70}, 0\) exceeds degree 2"),
         ([{"alpha": [float("inf"), 0]}], "not a list of integers"),
         ([{"alpha": 5}], "alpha must be a list"),
         ([5], "is not an object"),
@@ -159,6 +159,52 @@ def test_distribution_json_roundtrip():
 def test_distribution_json_malformed_entries(coeffs, message):
     with pytest.raises(ValueError, match=message):
         xp.Distribution.from_json_dict({"dim": 2, "degree": 2, "coeffs": coeffs})
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"alpha": [1, 0, 0]}, "multi-index (1, 0, 0) has dimension 3, expected 2"),
+        ({"alpha": [-1, 1]}, "negative exponent in multi-index (-1, 1)"),
+        ({"alpha": [2, 1]}, "multi-index (2, 1) exceeds degree 2"),
+        ({"alpha": [2**70, 0]}, f"multi-index ({2**70}, 0) exceeds degree 2"),
+        ({"out": 1, "alpha": [1, 0]}, "output component 1 out of range"),
+    ],
+    ids=["long-alpha", "negative", "over-degree", "past-int64", "component"],
+)
+def test_series_and_distribution_json_share_one_key_rule(entry, message):
+    # the distribution loader once had its own key checks, in its own words,
+    # and read an item's out as if it were absent
+    item = dict(entry, re=1.0)
+    for load, header in [
+        (TruncatedSeries.from_json_dict, {"domain_dim": 2, "codomain_dim": 1}),
+        (xp.Distribution.from_json_dict, {"dim": 2}),
+    ]:
+        with pytest.raises(ValueError) as info:
+            load(dict(header, degree=2, coeffs=[{"alpha": [0, 1]}, item]))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"dim": 2, "degree": 2, "coeffs": [{"out": 5, "alpha": [1, 0], "re": 1.0}]},
+            "output component 5 out of range",
+        ),
+        # the 67 GiB coefficient vector was once allocated before the cap was checked
+        (
+            {"dim": 3, "degree": 3000, "coeffs": []},
+            "truncation degree 3000 exceeds the global cap 8 "
+            "(set DILL_SERIES_MAX_DEGREE to raise it)",
+        ),
+    ],
+    ids=["out-not-zero", "degree-over-cap"],
+)
+def test_distribution_json_refused(data, message):
+    with pytest.raises(ValueError) as info:
+        xp.Distribution.from_json_dict(data)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
