@@ -18,19 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exponential as xp
 from . import multiindex as mi
 from . import multilinear as ml
 from .series import FiniteSpace, TruncatedSeries, _monomials_at
 
 
-def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:
-    """f after g, truncated at min(f.degree, g.degree).
-
-    Exact for all total degrees <= the output degree when g(0) = 0.  When
-    g(0) != 0 the caller must flag f as an exact polynomial; otherwise the
-    truncated outer coefficients do not determine any output coefficient.
-    The result is the coefficient table of f times the power table of g.
-    """
+def _composable(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool):
+    """The precondition `compose` and `compose_naive` share: the output degree,
+    g truncated to it, and whether g has a constant part."""
     if g.codomain.dim != f.domain.dim:
         raise ValueError(
             f"cannot compose: inner series maps into dimension {g.codomain.dim} "
@@ -41,7 +37,31 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = Fal
     constant_inner = bool(np.any(g.coeffs[:, 0] != 0))
     if constant_inner and not outer_polynomial:
         raise ValueError("constant term requires polynomial outer series")
+    return deg, g, constant_inner
 
+
+def _finite_result(op: str, value):
+    """`value`, or one `<op>: result is outside the float range` error if a
+    number it stores is not finite: the overflow rule of the term language
+    and the CLI.  An operator is read through its stored entries."""
+    tables = value.inner if isinstance(value, CurriedSeries) else (value,)
+    for table in tables:
+        if isinstance(table, xp.LinearOperator):
+            table = table.entries()[2]
+        if not np.isfinite(getattr(table, "coeffs", table)).all():
+            raise ValueError(f"{op}: result is outside the float range")
+    return value
+
+
+def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:
+    """f after g, truncated at min(f.degree, g.degree).
+
+    Exact for all total degrees <= the output degree when g(0) = 0.  When
+    g(0) != 0 the caller must flag f as an exact polynomial; otherwise the
+    truncated outer coefficients do not determine any output coefficient.
+    The result is the coefficient table of f times the power table of g.
+    """
+    deg, g, constant_inner = _composable(f, g, outer_polynomial)
     top = f.degree if constant_inner else deg
     rows = mi.count_indices(f.domain.dim, top)
     return TruncatedSeries(g.domain, f.codomain, deg, f.coeffs[:, :rows] @ g.power_table(top))
@@ -53,17 +73,7 @@ def compose_naive(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool
     Same preconditions as `compose`; built from repeated truncated pointwise
     products of the component series of g, with no multilinear regrouping.
     """
-    if g.codomain.dim != f.domain.dim:
-        raise ValueError(
-            f"cannot compose: inner series maps into dimension {g.codomain.dim} "
-            f"but outer series expects dimension {f.domain.dim}"
-        )
-    deg = min(f.degree, g.degree)
-    g = g.truncate(deg)
-    constant_inner = bool(np.any(g.coeffs[:, 0] != 0))
-    if constant_inner and not outer_polynomial:
-        raise ValueError("constant term requires polynomial outer series")
-
+    deg, g, constant_inner = _composable(f, g, outer_polynomial)
     p = g.domain.dim
     components = [g.component(i) for i in range(g.codomain.dim)]
     max_exp = int(np.max(mi.exponent_matrix(f.domain.dim, f.degree))) if f.degree else 0

@@ -50,11 +50,7 @@ def _finite(command: str, compute):
     command (the term language's rule), not as numpy warnings followed by a
     JSON error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = compute()
-    tables = value.inner if isinstance(value, ca.CurriedSeries) else (value,)
-    if not all(np.isfinite(t.coeffs).all() for t in tables):
-        raise ValueError(f"{command}: result is outside the float range")
-    return value
+        return ca._finite_result(command, compute())
 
 
 def _cmd_eval(args) -> int:

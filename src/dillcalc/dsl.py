@@ -434,22 +434,11 @@ def evaluate_term(node: Node, env: Optional[Dict[str, Value]] = None) -> Value:
     # source; an EvalError from a nested form already carries its location
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            value = _apply_op(node, op, node.items[1:], env)
+            return ca._finite_result(op, _apply_op(node, op, node.items[1:], env))
         except EvalError:
             raise
         except ValueError as exc:
             raise EvalError(str(exc), *_loc(node)) from exc
-    if not all_finite(value):
-        raise EvalError(f"{op}: result is outside the float range", *_loc(node))
-    return value
-
-
-def all_finite(value: Value) -> bool:
-    if isinstance(value, ca.CurriedSeries):
-        return all(all_finite(s) for s in value.inner)
-    if isinstance(value, xp.LinearOperator):
-        return bool(np.isfinite(value.matrix).all())
-    return bool(np.isfinite(getattr(value, "coeffs", value)).all())
 
 
 def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:

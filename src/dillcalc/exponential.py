@@ -14,12 +14,12 @@ Conventions for the operator matrices:
   matrix tensor products are numpy kron);
 * a map out of a tensor basis truncates: any image index of total degree
   above the target degree is dropped to 0;
-* the structure maps (dereliction, digging, weakening, coweakening,
-  contraction, cocontraction, m2 and its inverse, the swap, codereliction)
-  are sparse scatters of index tables, so they are built from their nonzero
-  entries (`LinearOperator.from_entries`) and only become dense matrices
-  when `matrix` is read; promotion, identities and the results of `@` and
-  `tensor` are dense;
+* the structure maps (dereliction, digging, weakening, contraction,
+  cocontraction, m2, the swap) are sparse scatters of index tables, built
+  from their nonzero entries; coweakening, codereliction and m2's inverse are
+  their transposes.  `LinearOperator` is the one place that computes on
+  (row, col, value) triples (`act`, `@`, `.T`, `-`); promotion, the
+  adjunction and `tensor` are dense;
 * the structural laws are checked on the sub-basis where the truncated maps
   are exact; the law harness states each restriction explicitly.
 """
@@ -235,19 +235,47 @@ class TensorBasis:
 Basis = Union[VectorBasis, DistBasis, TensorBasis]
 
 
+def _join(left: np.ndarray, right: np.ndarray):
+    """All index pairs (i, j) with left[i] == right[j], grouped by i."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    lo = np.searchsorted(keys, left, side="left")
+    counts = np.searchsorted(keys, left, side="right") - lo
+    i = np.repeat(np.arange(left.size), counts)
+    first = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return i, order[first + np.arange(i.size)]
+
+
+def _merge(rows, cols, vals, n_cols: int):
+    """Read-only row-major triples with repeated (row, col) pairs summed and
+    zero sums dropped, and the number of distinct pairs."""
+    keys = rows * n_cols
+    keys += cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(vals[order], starts)
+    keep = sums != 0
+    entries = (*np.divmod(keys[starts[keep]], n_cols), sums[keep])
+    for arr in entries:
+        arr.setflags(write=False)
+    return entries, starts.size
+
+
 class LinearOperator:
     """Complex matrix between described bases, rows indexing the target.
 
-    Stored in one of two forms.  `LinearOperator(source, target, matrix)`
-    copies a dense matrix.  `LinearOperator.from_entries` keeps only the
-    nonzero (row, col, value) triples, which is how the structure maps are
-    built, and scatters them into a dense array the first time `matrix` is
-    read.  Applying an entry-built operator to a vector reads its triples;
-    `@` and `tensor` read `matrix`; `entries()` gives the nonzero triples of
-    either form.
+    `LinearOperator(source, target, matrix)` keeps the dense matrix it is
+    given, signed zeros included.  `from_entries` keeps only the nonzero
+    (row, col, value) triples, as the structure maps and `identity` are
+    built, and `matrix` scatters them into a dense array when first read.
+    `act`, `@`, `.T` and `-` join and concatenate triples, except that `@` of
+    two dense operators is one dense product.  Their results may repeat a
+    (row, col) pair; repeats are summed, and zero sums dropped, once, when
+    `entries()` or `matrix` is first read.
     """
 
-    __slots__ = ("source", "target", "_matrix", "_entries")
+    __slots__ = ("source", "target", "_matrix", "_entries", "_merged")
 
     def __init__(self, source: Basis, target: Basis, matrix):
         arr = np.asarray(matrix, dtype=np.complex128)
@@ -257,13 +285,22 @@ class LinearOperator:
             )
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_matrix", arr)
-        object.__setattr__(self, "_entries", None)
+        self._set(source=source, target=target, _matrix=arr, _entries=None, _merged=True)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearOperator is immutable")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_triples(cls, source, target, rows, cols, vals, merged=False) -> "LinearOperator":
+        op = cls.__new__(cls)
+        op._set(
+            source=source, target=target, _matrix=None, _entries=(rows, cols, vals), _merged=merged
+        )
+        return op
 
     @classmethod
     def from_entries(cls, source: Basis, target: Basis, rows, cols, vals) -> "LinearOperator":
@@ -281,49 +318,81 @@ class LinearOperator:
             rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
         ):
             raise ValueError(f"entry index outside the shape ({n_rows}, {n_cols})")
-        keys = rows * n_cols + cols
-        order = np.argsort(keys, kind="stable")
-        if np.any(np.diff(keys[order]) == 0):
+        entries, distinct = _merge(rows, cols, vals, n_cols)
+        if distinct < rows.size:
             raise ValueError("repeated (row, col) entry")
-        order = order[vals[order] != 0]
-        entries = (rows[order], cols[order], vals[order])
-        for arr in entries:
-            arr.setflags(write=False)
-        op = cls.__new__(cls)
-        object.__setattr__(op, "source", source)
-        object.__setattr__(op, "target", target)
-        object.__setattr__(op, "_matrix", None)
-        object.__setattr__(op, "_entries", entries)
-        return op
+        return cls._from_triples(source, target, *entries, merged=True)
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense (target.size, source.size) matrix, read-only."""
         if self._matrix is None:
             arr = np.zeros((self.target.size, self.source.size), dtype=np.complex128)
-            rows, cols, vals = self._entries
+            rows, cols, vals = self.entries()
             arr[rows, cols] = vals
             arr.setflags(write=False)
-            object.__setattr__(self, "_matrix", arr)
+            self._set(_matrix=arr)
         return self._matrix
 
     def entries(self) -> tuple:
         """The nonzero entries as (rows, cols, vals) arrays, in row-major order."""
-        if self._entries is not None:
-            return self._entries
-        rows, cols = np.nonzero(self._matrix)
-        return rows, cols, self._matrix[rows, cols]
+        if self._entries is None:
+            rows, cols = np.nonzero(self._matrix)
+            return rows, cols, self._matrix[rows, cols]
+        if not self._merged:
+            self._set(_entries=_merge(*self._entries, self.source.size)[0], _merged=True)
+        return self._entries
+
+    def _triples(self) -> tuple:
+        """The triples as stored, repeats and all, or a dense matrix's nonzeros."""
+        return self.entries() if self._entries is None else self._entries
 
     @classmethod
     def identity(cls, basis: Basis) -> "LinearOperator":
-        return cls(basis, basis, np.eye(basis.size, dtype=np.complex128))
+        diagonal = np.arange(basis.size)
+        return cls.from_entries(basis, basis, diagonal, diagonal, np.ones(basis.size))
+
+    def act(self, x: "LinearOperator", after: int = 1) -> "LinearOperator":
+        """(1 (x) self (x) 1_after) x: self acts on the slot of x's target above
+        trailing factors of total size `after`.  The target is self's when the
+        slot is all of x's target, and otherwise the plain C^k of its size."""
+        before, rest = divmod(x.target.size, self.source.size * after)
+        if rest:
+            raise ValueError(f"{self.source} is not a slot of {x.target} above size {after}")
+        whole = (before, after) == (1, 1)
+        target = self.target if whole else VectorBasis(before * self.target.size * after)
+        rows, cols, vals = x._triples()
+        a_rows, a_cols, a_vals = self._triples()
+        head, tail = np.divmod(rows, after)
+        head, slot = np.divmod(head, self.source.size)
+        i, j = _join(slot, a_cols)
+        rows = (head[i] * self.target.size + a_rows[j]) * after + tail[i]
+        return LinearOperator._from_triples(x.source, target, rows, cols[i], vals[i] * a_vals[j])
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if other.target != self.source:
             raise ValueError(
                 f"operator composition mismatch: {other.target} feeds into {self.source}"
             )
-        return LinearOperator(other.source, self.target, self.matrix @ other.matrix)
+        if self._entries is None and other._entries is None:
+            return LinearOperator(other.source, self.target, self._matrix @ other._matrix)
+        return self.act(other)
+
+    @property
+    def T(self) -> "LinearOperator":
+        """The transpose, with rows and columns of the triples exchanged."""
+        rows, cols, vals = self._triples()
+        return LinearOperator._from_triples(self.target, self.source, cols, rows, vals)
+
+    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
+        """The difference, on self's bases; other's bases need only the same
+        sizes, so tensor factors may be grouped differently."""
+        if (self.target.size, self.source.size) != (other.target.size, other.source.size):
+            raise ValueError(f"operator shapes differ: {self} vs {other}")
+        (rows, cols, vals), (o_rows, o_cols, o_vals) = self._triples(), other._triples()
+        rows, cols = np.concatenate([rows, o_rows]), np.concatenate([cols, o_cols])
+        vals = np.concatenate([vals, -o_vals])
+        return LinearOperator._from_triples(self.source, self.target, rows, cols, vals)
 
     def tensor(self, other: "LinearOperator") -> "LinearOperator":
         return LinearOperator(
@@ -419,9 +488,8 @@ def weakening(dim: int, degree: int) -> LinearOperator:
 
 
 def coweakening(dim: int, degree: int) -> LinearOperator:
-    """m0: C -> !E sending 1 to eps_0 = delta_0; the unit of convolution."""
-    degree = _check_degree(degree)
-    return LinearOperator.from_entries(VectorBasis(1), DistBasis(dim, degree), [0], [0], [1.0])
+    """m0: C -> !E sending 1 to eps_0 = delta_0, the unit of convolution: e^T."""
+    return weakening(dim, degree).T
 
 
 def contraction(dim: int, degree: int) -> LinearOperator:
@@ -473,10 +541,8 @@ def monoidal_product(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
 
 def monoidal_product_inverse(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
     """Splits !(E x F) back into the pair of marginal extractors: the transpose
-    of the bijection m2, its entries with rows and columns exchanged."""
-    m2 = monoidal_product(dim_e, dim_f, degree)
-    rows, cols, vals = m2.entries()
-    return LinearOperator.from_entries(m2.target, m2.source, cols, rows, vals)
+    of the bijection m2."""
+    return monoidal_product(dim_e, dim_f, degree).T
 
 
 def swap_operator(left: Basis, right: Basis) -> LinearOperator:
@@ -491,14 +557,10 @@ def swap_operator(left: Basis, right: Basis) -> LinearOperator:
 
 
 def codereliction_operator(dim: int, degree: int) -> LinearOperator:
-    """E -> !E, v to theta_1(v); a section of the dereliction counit."""
-    degree = _check_degree(degree)
-    if degree < 1:
+    """E -> !E, v to theta_1(v); the transpose of dereliction, and a section."""
+    if _check_degree(degree) < 1:
         raise ValueError("codereliction needs degree at least 1")
-    units = np.arange(dim)
-    return LinearOperator.from_entries(
-        VectorBasis(dim), DistBasis(dim, degree), 1 + units, units, np.ones(dim)
-    )
+    return counit(dim, degree).T
 
 
 # ---------------------------------------------------------------------------

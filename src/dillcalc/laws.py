@@ -24,15 +24,13 @@ its restriction in the report parameters:
 * the two-sided inverse law for the monoidal product holds exactly in one
   direction and on the same admissible columns in the other.
 
-The bialgebra and monoidality laws are matrix equations on the shipped
-contraction Delta, cocontraction nabla, weakening e, coweakening m0 and
-monoidal product m2 (with its inverse), evaluated on their nonzero entries:
-a product of operators is a join of (row, col, value) triples on the shared
-index, a tensor factor 1 (x) A (x) 1 acts on one slot of the row index, and
-the swap sigma is an index permutation.  The triples are the ones the maps
-are built from (`LinearOperator.entries`), so no dense structure map, no
-Kronecker product and no dense swap matrix is built, and these laws cost
-about as much as the operators they read.
+The bialgebra, monoidality, comonad and codereliction laws are matrix
+equations on the shipped maps (Delta, nabla, e, m0, m2 and its inverse, rho,
+epsilon and codereliction), written with `LinearOperator`'s `act` (a tensor
+factor 1 (x) A (x) 1 on one slot), `@`, `.T` and `-`.  These join the
+(row, col, value) triples the maps are built from, and the swap sigma is a
+permutation of row indices, so no dense structure map, Kronecker product or
+swap matrix is built and the laws cost about as much as the maps they read.
 
 Laws resolve `compose` and the structure maps through the calculus and
 exponential module objects at call time, so a corrupted routine is observed
@@ -45,7 +43,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -199,85 +197,37 @@ def _admissible_columns(dim_e: int, dim_f: int, degree: int) -> np.ndarray:
     return np.flatnonzero((de[:, None] + df[None, :]).reshape(-1) <= degree)
 
 
-# ---------------------------------------------------------------------------
-# operator products on (row, col, value) triples of nonzero entries
+def _restriction(basis: xp.Basis, keep: np.ndarray) -> xp.LinearOperator:
+    """The identity of `basis` restricted to the columns `keep`."""
+    return xp.LinearOperator.from_entries(basis, basis, keep, keep, np.ones(keep.size))
 
 
-class _Entries(NamedTuple):
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: Tuple[int, int]
+def _deviation(lhs: xp.LinearOperator, rhs: xp.LinearOperator) -> float:
+    """max |lhs - rhs| over the entries, repeated pairs summed."""
+    return _max_abs((lhs - rhs).entries()[2])
 
 
-def _entries(op: xp.LinearOperator) -> _Entries:
-    return _Entries(*op.entries(), (op.target.size, op.source.size))
-
-
-def _transpose(a: _Entries) -> _Entries:
-    return _Entries(a.cols, a.rows, a.vals, a.shape[::-1])
-
-
-def _identity(n: int, keep: Optional[np.ndarray] = None) -> _Entries:
-    """The n x n identity, or its columns `keep` (the restriction to them)."""
-    keep = np.arange(n) if keep is None else keep
-    return _Entries(keep, keep, np.ones(keep.size, dtype=np.complex128), (n, n))
-
-
-def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i, j) with left[i] == right[j], grouped by i."""
-    order = np.argsort(right, kind="stable")
-    keys = right[order]
-    lo = np.searchsorted(keys, left, side="left")
-    counts = np.searchsorted(keys, left, side="right") - lo
-    i = np.repeat(np.arange(left.size), counts)
-    first = np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return i, order[first + np.arange(i.size)]
-
-
-def _act(op: _Entries, x: _Entries, after: int = 1) -> _Entries:
-    """(1 (x) op (x) 1_after) x: op acts on the slot of x's row index that
-    sits above the trailing slots of total size `after`."""
-    tgt, src = op.shape
-    head, tail = np.divmod(x.rows, after)
-    before, slot = np.divmod(head, src)
-    i, j = _join(slot, op.cols)
-    rows = (before[i] * tgt + op.rows[j]) * after + tail[i]
-    shape = (x.shape[0] // (src * after) * tgt * after, x.shape[1])
-    return _Entries(rows, x.cols[i], x.vals[i] * op.vals[j], shape)
-
-
-def _swap(x: _Entries, left: int, right: int, after: int = 1) -> _Entries:
+def _swap(x: xp.LinearOperator, left: int, right: int, after: int = 1) -> xp.LinearOperator:
     """(1 (x) sigma (x) 1_after) x, sigma exchanging adjacent slots of sizes
-    left and right."""
-    head, tail = np.divmod(x.rows, after)
-    before, pair = np.divmod(head, left * right)
-    a, b = np.divmod(pair, right)
-    return x._replace(rows=((before * right + b) * left + a) * after + tail)
+    left and right, as a permutation of x's row indices.  x's target is kept,
+    so the two slots must hold the same space."""
+    rows, cols, vals = x.entries()
+    a, b = np.divmod(rows // after % (left * right), right)
+    # the pair (a, b) at a * right + b moves to b * left + a
+    rows = rows + (b * (left - 1) - a * (right - 1)) * after
+    return xp.LinearOperator.from_entries(x.source, x.target, rows, cols, vals)
 
 
-def _deviation(lhs: _Entries, rhs: _Entries) -> float:
-    """max |lhs - rhs| over the union of both supports, repeated entries summed."""
-    if lhs.shape != rhs.shape:
-        raise ValueError(f"operator shapes differ: {lhs.shape} vs {rhs.shape}")
-    ncols = lhs.shape[1]
-    keys = np.concatenate([lhs.rows * ncols + lhs.cols, rhs.rows * ncols + rhs.cols])
-    uniq, where = np.unique(keys, return_inverse=True)
-    total = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(total, where, np.concatenate([lhs.vals, -rhs.vals]))
-    return _max_abs(total)
-
-
-def _comonoid_deviation(delta: _Entries, assoc: _Entries, unit: _Entries) -> float:
+def _comonoid_deviation(delta, assoc, unit) -> float:
     """Worst deviation in (assoc (x) 1) delta = (1 (x) delta) delta,
     (unit (x) 1) delta = 1 = (1 (x) unit) delta and sigma delta = delta, for
-    delta and assoc mapping n to n (x) n and unit mapping n to 1."""
-    n = delta.shape[1]
-    ident = _identity(n)
+    delta and assoc mapping B to B (x) B and unit mapping B to C."""
+    n = delta.source.size
+    ident = xp.LinearOperator.identity(delta.source)
     return max(
-        _deviation(_act(assoc, delta, after=n), _act(delta, delta)),
-        _deviation(_act(unit, delta, after=n), ident),
-        _deviation(_act(unit, delta), ident),
+        _deviation(assoc.act(delta, after=n), delta.act(delta)),
+        _deviation(unit.act(delta, after=n), ident),
+        _deviation(unit.act(delta), ident),
         _deviation(_swap(delta, n, n), delta),
     )
 
@@ -666,12 +616,10 @@ def _law_dirac_spanning(config: LawConfig, rng) -> Tuple[float, float, dict]:
 def _law_comonad_counit(config: LawConfig, rng) -> Tuple[float, float, dict]:
     dim, degree = _digging_cap(config.dim, config.degree)
     rho = xp.comultiplication(dim, degree)
-    inner = mi.count_indices(dim, degree)
-    left = xp.counit(inner, degree) @ rho
-    worst = _max_abs(left.matrix - np.eye(inner))
+    ident = xp.LinearOperator.identity(rho.source)
+    worst = _deviation(xp.counit(rho.source.size, degree) @ rho, ident)
     promoted = xp.bang_linear(xp.counit(dim, degree).matrix, degree)
-    right = promoted @ rho
-    worst = max(worst, _max_abs(right.matrix - np.eye(inner)))
+    worst = max(worst, _deviation(promoted @ rho, ident))
     return worst, TOL_EXACT, {"dim": dim, "degree": degree}
 
 
@@ -692,7 +640,8 @@ def _law_comonad_coassoc(config: LawConfig, rng) -> Tuple[float, float, dict]:
     outer3 = mi.exponent_matrix(n2, degree)  # rows: !!!E indices over !!E
     u3 = outer3 @ u2
     rows = np.flatnonzero(u3 <= degree)
-    diff = _max_abs(lhs.matrix[rows] - rhs.matrix[rows])
+    restrict = _restriction(lhs.target, rows)
+    diff = _deviation(restrict @ lhs, restrict @ rhs)
     return diff, TOL_EXACT, {
         "dim": dim,
         "degree": degree,
@@ -707,8 +656,8 @@ def _law_contraction(config: LawConfig, rng) -> Tuple[float, float, dict]:
     # (Delta (x) 1) Delta = (1 (x) Delta) Delta, (e (x) 1) Delta = 1 =
     # (1 (x) e) Delta and sigma Delta = Delta
     dim, degree = config.dim, config.degree
-    delta = _entries(xp.contraction(dim, degree))
-    worst = _comonoid_deviation(delta, delta, _entries(xp.weakening(dim, degree)))
+    delta = xp.contraction(dim, degree)
+    worst = _comonoid_deviation(delta, delta, xp.weakening(dim, degree))
     return worst, TOL_EXACT, {"dim": dim, "degree": degree}
 
 
@@ -727,12 +676,9 @@ def _law_cocontraction(config: LawConfig, rng) -> Tuple[float, float, dict]:
             rows.append(i * n + j)
             cols.append(pos[alpha + beta])
             vals.append(mi.binom_componentwise(alpha, beta))
-    rebuilt = _Entries(np.array(rows), np.array(cols), np.array(vals, dtype=complex), (n * n, n))
-    worst = _comonoid_deviation(
-        _transpose(_entries(xp.cocontraction(dim, degree))),
-        rebuilt,
-        _transpose(_entries(xp.coweakening(dim, degree))),
-    )
+    nabla = xp.cocontraction(dim, degree)
+    rebuilt = xp.LinearOperator.from_entries(nabla.target, nabla.source, rows, cols, vals)
+    worst = _comonoid_deviation(nabla.T, rebuilt, xp.coweakening(dim, degree).T)
     return worst, TOL_EXACT, {"dim": dim, "degree": degree}
 
 
@@ -743,17 +689,17 @@ def _law_bialgebra_compat(config: LawConfig, rng) -> Tuple[float, float, dict]:
     # index can overflow
     dim, degree = config.dim, config.degree
     n = mi.count_indices(dim, degree)
-    delta = _entries(xp.contraction(dim, degree))
-    nabla = _entries(xp.cocontraction(dim, degree))
+    delta = xp.contraction(dim, degree)
+    nabla = xp.cocontraction(dim, degree)
     cols = _admissible_columns(dim, dim, degree)
-    restrict = _identity(n * n, cols)
-    lhs = _act(delta, _act(nabla, restrict))
+    restrict = _restriction(nabla.source, cols)
+    lhs = delta @ (nabla @ restrict)
     # one name for the right-hand side, so each step frees the one before it
-    rhs = _act(delta, restrict, after=n)
-    rhs = _act(delta, rhs)
+    rhs = delta.act(restrict, after=n)
+    rhs = delta.act(rhs)
     rhs = _swap(rhs, n, n, after=n)
-    rhs = _act(nabla, rhs, after=n * n)
-    rhs = _act(nabla, rhs)
+    rhs = nabla.act(rhs, after=n * n)
+    rhs = nabla.act(rhs)
     return _deviation(lhs, rhs), TOL_EXACT, {
         "dim": dim,
         "degree": degree,
@@ -767,11 +713,11 @@ def _law_monoidal_bijection(config: LawConfig, rng) -> Tuple[float, float, dict]
     dim_e = config.dim
     dim_f = max(1, config.dim - 1)
     degree = config.degree
-    m2 = _entries(xp.monoidal_product(dim_e, dim_f, degree))
-    m2inv = _entries(xp.monoidal_product_inverse(dim_e, dim_f, degree))
-    worst = _deviation(_act(m2, m2inv), _identity(m2.shape[0]))
-    restrict = _identity(m2.shape[1], _admissible_columns(dim_e, dim_f, degree))
-    worst = max(worst, _deviation(_act(m2inv, _act(m2, restrict)), restrict))
+    m2 = xp.monoidal_product(dim_e, dim_f, degree)
+    m2inv = xp.monoidal_product_inverse(dim_e, dim_f, degree)
+    worst = _deviation(m2 @ m2inv, xp.LinearOperator.identity(m2.target))
+    restrict = _restriction(m2.source, _admissible_columns(dim_e, dim_f, degree))
+    worst = max(worst, _deviation(m2inv @ (m2 @ restrict), restrict))
     return worst, TOL_EXACT, {
         "dims": [dim_e, dim_f],
         "degree": degree,
@@ -788,22 +734,16 @@ def _law_monoidal_strength(config: LawConfig, rng) -> Tuple[float, float, dict]:
     dim_e = dim_f = 1
     m2 = xp.monoidal_product(dim_e, dim_f, degree)
     rho_ef = xp.comultiplication(dim_e + dim_f, degree)
-    ne = mi.count_indices(dim_e, degree)
-    nf = mi.count_indices(dim_f, degree)
-    p1 = np.zeros((dim_e, dim_e + dim_f))
-    p1[:, :dim_e] = np.eye(dim_e)
-    p2 = np.zeros((dim_f, dim_e + dim_f))
-    p2[:, dim_e:] = np.eye(dim_f)
-    bang_p1 = xp.bang_linear(p1, degree).matrix
-    bang_p2 = xp.bang_linear(p2, degree).matrix
+    proj = np.eye(dim_e + dim_f)
+    bang_p1 = xp.bang_linear(proj[:dim_e], degree).matrix
+    bang_p2 = xp.bang_linear(proj[dim_e:], degree).matrix
     paired = xp.bang_linear(np.vstack([bang_p1, bang_p2]), degree)
-    lhs = (paired @ rho_ef @ m2).matrix
+    restrict = _restriction(m2.source, _admissible_columns(dim_e, dim_f, degree))
+    lhs = paired @ rho_ef @ m2 @ restrict
     rho_e = xp.comultiplication(dim_e, degree)
     rho_f = xp.comultiplication(dim_f, degree)
-    m2_bang = xp.monoidal_product(ne, nf, degree)
-    rhs = (m2_bang @ rho_e.tensor(rho_f)).matrix
-    admissible = _admissible_columns(dim_e, dim_f, degree)
-    worst = _max_abs(lhs[:, admissible] - rhs[:, admissible])
+    m2_bang = xp.monoidal_product(rho_e.target.dim, rho_f.target.dim, degree)
+    worst = _deviation(lhs, m2_bang @ rho_e.tensor(rho_f) @ restrict)
     return worst, TOL_EXACT, {
         "dims": [dim_e, dim_f],
         "degree": degree,
@@ -820,7 +760,7 @@ def _law_coder_identity(config: LawConfig, rng) -> Tuple[float, float, dict]:
     op = xp.counit(config.dim, config.degree) @ xp.codereliction_operator(
         config.dim, config.degree
     )
-    return _max_abs(op.matrix - np.eye(config.dim)), TOL_EXACT, {
+    return _deviation(op, xp.LinearOperator.identity(op.source)), TOL_EXACT, {
         "dim": config.dim,
         "degree": config.degree,
     }

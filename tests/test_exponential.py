@@ -384,6 +384,145 @@ def test_swap_operator_involution():
     np.testing.assert_array_equal((s_back @ s).matrix, np.eye(b1.size * b2.size))
 
 
+def _random_operator(rng, source, target, entry_built):
+    """A random operator with small Gaussian-integer entries, about half of
+    them zero, built from its dense matrix or from its nonzero entries.
+    Integer entries make every sum exact, so results compare bit for bit."""
+    shape = (target.size, source.size)
+    mat = rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+    mat[rng.random(mat.shape) < 0.5] = 0.0
+    if not entry_built:
+        return xp.LinearOperator(source, target, mat)
+    rows, cols = np.nonzero(mat)
+    return xp.LinearOperator.from_entries(source, target, rows, cols, mat[rows, cols])
+
+
+def _repeated_product(rng, source, target):
+    """An entry-built product in which every (row, col) pair is stored twice."""
+
+    def full(source, target):
+        rows, cols = np.divmod(np.arange(target.size * source.size), source.size)
+        vals = rng.integers(1, 4, rows.size) + 1j * rng.integers(-3, 4, rows.size)
+        return xp.LinearOperator.from_entries(source, target, rows, cols, vals)
+
+    middle = xp.VectorBasis(2)
+    op = full(middle, target) @ full(source, middle)
+    rows, cols, _ = op._entries  # as stored, before any read merges them
+    assert rows.size == 2 * len(set(zip(rows.tolist(), cols.tolist())))
+    return op
+
+
+FORMS = ["dense", "entries", "repeated"]
+
+
+def _operator_in_form(rng, source, target, form):
+    if form == "repeated":
+        return _repeated_product(rng, source, target)
+    return _random_operator(rng, source, target, form == "entries")
+
+
+@pytest.mark.parametrize("before, after", [(1, 1), (2, 1), (1, 3), (3, 2)])
+@pytest.mark.parametrize("a_form", FORMS)
+@pytest.mark.parametrize("x_form", FORMS)
+def test_act_matches_the_kron_oracle(before, after, a_form, x_form):
+    rng = np.random.default_rng([before, after, FORMS.index(a_form), FORMS.index(x_form)])
+    v = xp.VectorBasis
+    a = _operator_in_form(rng, v(2), v(3), a_form)
+    slots = xp.TensorBasis(xp.TensorBasis(v(before), v(2)), v(after))
+    x = _operator_in_form(rng, v(4), slots, x_form)
+    want = np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)) @ x.matrix
+    got = a.act(x, after=after)
+    assert got.source == x.source and got.target.size == before * 3 * after
+    np.testing.assert_array_equal(got.matrix, want)
+
+
+@pytest.mark.parametrize("a_form", FORMS)
+@pytest.mark.parametrize("b_form", FORMS)
+def test_product_difference_and_transpose_match_dense(a_form, b_form):
+    rng = np.random.default_rng([FORMS.index(a_form), FORMS.index(b_form)])
+    v = xp.VectorBasis
+    a = _operator_in_form(rng, v(3), v(4), a_form)
+    b = _operator_in_form(rng, v(2), v(3), b_form)
+    c = _operator_in_form(rng, v(3), v(4), b_form)
+    product = a @ b
+    assert (product.source, product.target) == (v(2), v(4))
+    np.testing.assert_array_equal(product.matrix, a.matrix @ b.matrix)
+    np.testing.assert_array_equal((a - c).matrix, a.matrix - c.matrix)
+    assert (a.T.source, a.T.target) == (v(4), v(3))
+    np.testing.assert_array_equal(a.T.matrix, a.matrix.T)
+    np.testing.assert_array_equal(a.T.T.matrix, a.matrix)
+
+
+def test_dense_product_stays_dense():
+    rng = np.random.default_rng(5)
+    v = xp.VectorBasis
+    a = _random_operator(rng, v(3), v(4), False)
+    b = _random_operator(rng, v(2), v(3), False)
+    assert (a @ b)._entries is None
+    assert (a @ _random_operator(rng, v(2), v(3), True))._entries is not None
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_difference_that_cancels_has_no_entries(form):
+    rng = np.random.default_rng(FORMS.index(form))
+    x = _operator_in_form(rng, xp.VectorBasis(2), xp.VectorBasis(3), form)
+    diff = x - x
+    rows, cols, vals = diff.entries()
+    assert rows.size == cols.size == vals.size == 0
+    np.testing.assert_array_equal(diff.matrix, np.zeros((3, 2)))
+
+
+def test_repeated_pairs_merge_once_when_read():
+    rng = np.random.default_rng(11)
+    op = _repeated_product(rng, xp.VectorBasis(3), xp.VectorBasis(4))
+    rows, cols, vals = op.entries()
+    assert op.entries() is op._entries and op.entries()[0] is rows
+    assert np.all(np.diff(rows * 3 + cols) > 0) and np.all(vals != 0)
+    assert not any(arr.flags.writeable for arr in (rows, cols, vals))
+    assert op.matrix[rows, cols].tolist() == vals.tolist()
+
+
+def test_operator_algebra_checks_shapes():
+    dist = xp.DistBasis(2, 2)
+    delta = xp.contraction(2, 2)
+    with pytest.raises(ValueError, match="not a slot"):
+        xp.counit(2, 2).act(delta, after=5)
+    with pytest.raises(ValueError, match="not a slot"):
+        xp.counit(1, 4).act(delta)
+    with pytest.raises(ValueError, match="shapes differ"):
+        delta - xp.cocontraction(2, 2)
+    assert delta.act(xp.LinearOperator.identity(dist)).target == delta.target
+    # slot actions give plain coordinate targets, which differences accept
+    assoc = delta.act(delta, after=dist.size) - delta.act(delta)
+    assert assoc.target == xp.VectorBasis(dist.size**3) and assoc.entries()[0].size == 0
+    unit = xp.weakening(2, 2).act(delta) - xp.LinearOperator.identity(dist)
+    assert unit.entries()[0].size == 0
+    assert xp.LinearOperator.identity(xp.VectorBasis(3)).entries()[2].tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "dual, primal",
+    [
+        (xp.coweakening, xp.weakening),
+        (xp.codereliction_operator, xp.counit),
+        (lambda d, deg: xp.monoidal_product_inverse(d, 2, deg),
+         lambda d, deg: xp.monoidal_product(d, 2, deg)),
+    ],
+    ids=["coweakening", "codereliction", "monoidal-inverse"],
+)
+def test_dual_maps_are_transposes_entry_for_entry(dual, primal):
+    for dim in (1, 2, 3):
+        for deg in (1, 2, 4):
+            d, p = dual(dim, deg), primal(dim, deg)
+            assert (d.source, d.target) == (p.target, p.source)
+            p_rows, p_cols, p_vals = p.entries()
+            order = np.lexsort((p_rows, p_cols))  # row-major in the transpose
+            rows, cols, vals = d.entries()
+            np.testing.assert_array_equal(rows, p_cols[order])
+            np.testing.assert_array_equal(cols, p_rows[order])
+            np.testing.assert_array_equal(vals, p_vals[order])
+
+
 def _entry_built_maps():
     """Every structure map built from its entries at dims 1-3, degrees 0-4
     (digging where its size bound admits it), plus swaps of small bases."""
@@ -494,6 +633,21 @@ def test_contraction_at_4_8_is_not_densified():
 
     assert _peak_bytes(build) < DENSE_DELTA_3_6 // 2
     assert sizes == [12870, 12870]
+
+
+def test_product_of_structure_maps_at_4_8_is_not_densified():
+    # nabla . Delta sends eps_gamma to 2^|gamma| eps_gamma; dense, Delta alone
+    # would hold 495^2 x 495 complex entries
+    entries = []
+
+    def build():
+        entries.append((xp.cocontraction(4, 8) @ xp.contraction(4, 8)).entries())
+
+    assert _peak_bytes(build) < DENSE_DELTA_3_6 // 2
+    rows, cols, vals = entries[0]
+    np.testing.assert_array_equal(rows, np.arange(495))
+    np.testing.assert_array_equal(cols, np.arange(495))
+    np.testing.assert_array_equal(vals, 2.0 ** mi.degree_vector(4, 8))
 
 
 # -- promotion and adjunction ------------------------------------------------

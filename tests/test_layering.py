@@ -1,6 +1,7 @@
 """Runtime code reads exponent rows and `rank`.  Only the multi-index module,
 the law harness and the check-only routes, which must not share the formula
-they check, build MultiIndex tuples or walk the enumeration.  Importing the
+they check, build MultiIndex tuples or walk the enumeration.  The join of
+(row, col, value) triples lives in `LinearOperator` alone.  Importing the
 package and its CLI loads neither the law harness nor the term language."""
 
 import ast
@@ -15,8 +16,9 @@ CHECK_ONLY_MODULES = {"multiindex.py", "laws.py"}
 CHECK_ONLY_FUNCTIONS = {"compose_naive", "polarize", "split_slot_reference"}
 
 
-def guarded_calls(path):
-    """(called name, enclosing function names) of every guarded call in a file."""
+def guarded_calls(path, guarded=GUARDED):
+    """(called name, enclosing function names) of every call in a file to a
+    name in `guarded`, as a function or a method."""
     found = []
 
     def walk(node, stack):
@@ -27,7 +29,7 @@ def guarded_calls(path):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in GUARDED:
+                if name in guarded:
                     found.append((name, inner))
             walk(child, inner)
 
@@ -49,6 +51,18 @@ def test_runtime_modules_do_not_walk_the_enumeration():
 def test_the_guard_sees_the_check_only_oracle():
     # compose_naive walks the enumeration on purpose; the walker must find it
     assert ("enumerate_indices", ("compose_naive",)) in guarded_calls(SRC / "calculus.py")
+
+
+def test_only_the_operator_module_joins_triples():
+    # one sort-and-searchsorted join, behind LinearOperator
+    offenders = [
+        f"{path.name}: searchsorted() in {'.'.join(stack) or 'module scope'}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exponential.py"
+        for _, stack in guarded_calls(path, {"searchsorted"})
+    ]
+    assert offenders == []
+    assert guarded_calls(SRC / "exponential.py", {"searchsorted"})
 
 
 def test_importing_the_cli_loads_only_what_every_subcommand_runs():
