@@ -53,8 +53,9 @@ from .exponential import (
     weakening,
 )
 
-# The law harness loads numpy.random; it is imported on first use of one of
-# its names, so `import dillcalc` and the other subcommands do not pay for it.
+# The law harness, with its registry of 40 laws, is imported on first use of
+# one of its names, so `import dillcalc` and the other subcommands do not pay
+# for it.
 _LAW_NAMES = ("LawConfig", "LawReport", "law_names", "run_law", "run_suite")
 
 

@@ -246,11 +246,25 @@ def _join(left: np.ndarray, right: np.ndarray):
     return i, order[first + np.arange(i.size)]
 
 
-def _merge(rows, cols, vals, n_cols: int):
-    """Read-only row-major triples with repeated (row, col) pairs summed and
-    zero sums dropped, and the number of distinct pairs."""
+def _check_keys(n_rows: int, n_cols: int) -> None:
+    """Entries are sorted and merged on the int64 key row * n_cols + col."""
+    if n_rows * n_cols > 2**63:
+        raise ValueError(
+            f"operator shape ({n_rows}, {n_cols}) has more than 2**63 entries, "
+            "past the int64 entry keys"
+        )
+
+
+def _keys(rows, cols, n_cols: int) -> np.ndarray:
     keys = rows * n_cols
     keys += cols
+    return keys
+
+
+def _merge(keys, vals, n_cols: int):
+    """Read-only row-major (rows, cols, vals) triples of the entries keyed
+    row * n_cols + col, repeated keys summed and zero sums dropped, and the
+    number of distinct keys."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -269,10 +283,12 @@ class LinearOperator:
     given, signed zeros included.  `from_entries` keeps only the nonzero
     (row, col, value) triples, as the structure maps and `identity` are
     built, and `matrix` scatters them into a dense array when first read.
-    `act`, `@`, `.T` and `-` join and concatenate triples, except that `@` of
-    two dense operators is one dense product.  Their results may repeat a
+    `act`, `@` and `.T` join and relabel triples, except that `@` of two
+    dense operators is one dense product.  Their results may repeat a
     (row, col) pair; repeats are summed, and zero sums dropped, once, when
-    `entries()` or `matrix` is first read.
+    `entries()` or `matrix` is first read.  `-` merges as it goes, on the
+    keys of both operands.  Merges sort on the int64 key row * n_cols + col,
+    so `from_entries` and `act` refuse a shape of more than 2**63 entries.
     """
 
     __slots__ = ("source", "target", "_matrix", "_entries", "_merged")
@@ -314,11 +330,12 @@ class LinearOperator:
                 f"entry arrays have lengths {rows.size}, {cols.size}, {vals.size}"
             )
         n_rows, n_cols = target.size, source.size
+        _check_keys(n_rows, n_cols)
         if rows.size and (
             rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
         ):
             raise ValueError(f"entry index outside the shape ({n_rows}, {n_cols})")
-        entries, distinct = _merge(rows, cols, vals, n_cols)
+        entries, distinct = _merge(_keys(rows, cols, n_cols), vals, n_cols)
         if distinct < rows.size:
             raise ValueError("repeated (row, col) entry")
         return cls._from_triples(source, target, *entries, merged=True)
@@ -340,7 +357,9 @@ class LinearOperator:
             rows, cols = np.nonzero(self._matrix)
             return rows, cols, self._matrix[rows, cols]
         if not self._merged:
-            self._set(_entries=_merge(*self._entries, self.source.size)[0], _merged=True)
+            rows, cols, vals = self._entries
+            n_cols = self.source.size
+            self._set(_entries=_merge(_keys(rows, cols, n_cols), vals, n_cols)[0], _merged=True)
         return self._entries
 
     def _triples(self) -> tuple:
@@ -361,6 +380,7 @@ class LinearOperator:
             raise ValueError(f"{self.source} is not a slot of {x.target} above size {after}")
         whole = (before, after) == (1, 1)
         target = self.target if whole else VectorBasis(before * self.target.size * after)
+        _check_keys(target.size, x.source.size)
         rows, cols, vals = x._triples()
         a_rows, a_cols, a_vals = self._triples()
         head, tail = np.divmod(rows, after)
@@ -385,14 +405,18 @@ class LinearOperator:
         return LinearOperator._from_triples(self.target, self.source, cols, rows, vals)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        """The difference, on self's bases; other's bases need only the same
-        sizes, so tensor factors may be grouped differently."""
+        """The difference, on self's bases, merged; other's bases need only the
+        same sizes, so tensor factors may be grouped differently."""
         if (self.target.size, self.source.size) != (other.target.size, other.source.size):
             raise ValueError(f"operator shapes differ: {self} vs {other}")
+        n_cols = self.source.size
         (rows, cols, vals), (o_rows, o_cols, o_vals) = self._triples(), other._triples()
-        rows, cols = np.concatenate([rows, o_rows]), np.concatenate([cols, o_cols])
-        vals = np.concatenate([vals, -o_vals])
-        return LinearOperator._from_triples(self.source, self.target, rows, cols, vals)
+        entries, _ = _merge(
+            np.concatenate([_keys(rows, cols, n_cols), _keys(o_rows, o_cols, n_cols)]),
+            np.concatenate([vals, -o_vals]),
+            n_cols,
+        )
+        return LinearOperator._from_triples(self.source, self.target, *entries, merged=True)
 
     def tensor(self, other: "LinearOperator") -> "LinearOperator":
         return LinearOperator(

@@ -40,6 +40,7 @@ by the suite (see the mutation tests in the test suite).
 from __future__ import annotations
 
 import math
+import random
 import time
 import zlib
 from dataclasses import dataclass
@@ -72,6 +73,8 @@ class LawConfig:
             raise ValueError(f"law dimension must be between 1 and {MAX_LAW_DIM}")
         if not 1 <= self.degree <= MAX_LAW_DEGREE:
             raise ValueError(f"law degree must be between 1 and {MAX_LAW_DEGREE}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"law seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class LawReport:
         }
 
 
-LawFn = Callable[[LawConfig, np.random.Generator], Tuple[float, float, Dict[str, object]]]
+LawFn = Callable[[LawConfig, "_LawRandom"], Tuple[float, float, Dict[str, object]]]
 LAWS: Dict[str, LawFn] = {}
 
 
@@ -112,8 +115,20 @@ def law_names() -> List[str]:
     return list(LAWS)
 
 
-def _law_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
+class _LawRandom(random.Random):
+    """The standard library's MT19937, whose `uniform` also fills arrays, so
+    the law harness never imports numpy.random."""
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return super().uniform(low, high)
+        shape = size if isinstance(size, tuple) else (size,)
+        draws = np.fromiter(iter(self.random, None), np.float64, math.prod(shape))
+        return low + (high - low) * draws.reshape(shape)
+
+
+def _law_rng(seed: int, name: str) -> _LawRandom:
+    return _LawRandom((seed << 32) | zlib.crc32(name.encode("utf-8")))
 
 
 def run_law(name: str, config: LawConfig) -> LawReport:
@@ -140,11 +155,12 @@ def run_suite(config: LawConfig, names: Optional[Iterable[str]] = None) -> List[
 
 
 # ---------------------------------------------------------------------------
-# random data
+# random data: `rng` is anything with numpy's `uniform(low, high, size)`, the
+# law harness's `_LawRandom` or a numpy Generator
 
 
 def random_series(
-    rng: np.random.Generator,
+    rng,
     dom: int,
     cod: int,
     degree: int,
@@ -162,11 +178,11 @@ def random_series(
     return TruncatedSeries.from_arrays(dom, cod, degree, coeffs)
 
 
-def random_vector(rng: np.random.Generator, dim: int, scale: float = 0.5) -> np.ndarray:
+def random_vector(rng, dim: int, scale: float = 0.5) -> np.ndarray:
     return scale * (rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim))
 
 
-def random_distribution(rng: np.random.Generator, dim: int, degree: int) -> xp.Distribution:
+def random_distribution(rng, dim: int, degree: int) -> xp.Distribution:
     n = mi.count_indices(dim, degree)
     return xp.Distribution(dim, degree, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
 

@@ -6,14 +6,16 @@ Nothing here shares code paths with the package beyond reading coefficients
 out of a series.
 """
 
-import math
-from itertools import product
-
 
 def iter_indices(dim, degree):
-    for tup in product(range(degree + 1), repeat=dim):
-        if sum(tup) <= degree:
-            yield tup
+    """Every dim-tuple of non-negative integers summing to at most degree, in
+    lexicographic order: the first entry, then the rest within what is left."""
+    if dim == 0:
+        yield ()
+        return
+    for head in range(degree + 1):
+        for rest in iter_indices(dim - 1, degree - head):
+            yield (head,) + rest
 
 
 def graded_order(dim, degree):

@@ -203,6 +203,13 @@ def test_check_laws_bad_dim(capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_check_laws_negative_seed(capsys):
+    assert main(["check-laws", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: law seed must be a non-negative integer, got -1\n"
+
+
 def test_check_laws_unknown_law(capsys):
     assert main(["check-laws", "--law", "no-such-law"]) == 1
     assert "unknown law" in capsys.readouterr().err

@@ -500,6 +500,20 @@ def test_operator_algebra_checks_shapes():
     assert xp.LinearOperator.identity(xp.VectorBasis(3)).entries()[2].tolist() == [1, 1, 1]
 
 
+def test_entry_keys_refuse_shapes_past_int64():
+    # entries merge on the int64 key row * n_cols + col; an act onto 2**80
+    # rows used to wrap and return no entries and no error
+    v = xp.VectorBasis
+    tall = xp.LinearOperator.from_entries(v(1), v(2**40), [2**40 - 1], [0], [1])
+    with pytest.raises(ValueError, match=rf"\({2**80}, 1\) .* past the int64 entry keys"):
+        tall.act(tall)
+    with pytest.raises(ValueError, match="past the int64 entry keys"):
+        xp.LinearOperator.from_entries(v(2**32), v(2**32), [0], [0], [1])
+    # the largest shape whose keys fit: the last entry's key is 2**63 - 1
+    edge = xp.LinearOperator.from_entries(v(2**31), v(2**32), [2**32 - 1], [2**31 - 1], [1])
+    assert edge.entries()[0].tolist() == [2**32 - 1]
+
+
 @pytest.mark.parametrize(
     "dual, primal",
     [

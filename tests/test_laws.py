@@ -206,6 +206,11 @@ def test_config_validation():
         laws.LawConfig(degree=0)
     with pytest.raises(ValueError, match="degree"):
         laws.LawConfig(degree=7)
+    for seed in (-1, 1.5, "7", True):
+        # random.Random seeds -1 and 1 alike, so the config refuses -1 itself
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            laws.LawConfig(seed=seed)
+    assert laws.run_law("multilinear-apply-symmetry", laws.LawConfig(seed=10**30)).passed
     with pytest.raises(dataclasses.FrozenInstanceError):
         laws.LawConfig().dim = 3
 

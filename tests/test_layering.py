@@ -2,7 +2,8 @@
 the law harness and the check-only routes, which must not share the formula
 they check, build MultiIndex tuples or walk the enumeration.  The join of
 (row, col, value) triples lives in `LinearOperator` alone.  Importing the
-package and its CLI loads neither the law harness nor the term language."""
+package and its CLI loads neither the law harness nor the term language, and
+the law harness never loads numpy.random."""
 
 import ast
 import os
@@ -65,12 +66,7 @@ def test_only_the_operator_module_joins_triples():
     assert guarded_calls(SRC / "exponential.py", {"searchsorted"})
 
 
-def test_importing_the_cli_loads_only_what_every_subcommand_runs():
-    # laws (with numpy.random) and dsl are imported by the subcommands that use them
-    probe = (
-        "import sys, dillcalc, dillcalc.cli; "
-        "print([m for m in ('dillcalc.laws', 'dillcalc.dsl', 'numpy.random') if m in sys.modules])"
-    )
+def _run_probe(probe):
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -80,4 +76,25 @@ def test_importing_the_cli_loads_only_what_every_subcommand_runs():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_loads_only_what_every_subcommand_runs():
+    # laws and dsl are imported by the subcommands that use them
+    probe = (
+        "import sys, dillcalc, dillcalc.cli; "
+        "print([m for m in ('dillcalc.laws', 'dillcalc.dsl', 'numpy.random') if m in sys.modules])"
+    )
+    assert _run_probe(probe) == "[]"
+
+
+def test_check_laws_runs_without_numpy_random():
+    # law inputs come from the standard library's generator; numpy.random
+    # alone adds about 6 MB to the resident size of every check-laws run
+    probe = (
+        "import contextlib, io, sys, dillcalc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = dillcalc.cli.main(['check-laws', '--dim', '1', '--deg', '1'])\n"
+        "print(code, out.getvalue().splitlines()[-1], 'numpy.random' in sys.modules)"
+    )
+    assert _run_probe(probe) == "0 40/40 laws passed False"
