@@ -5,9 +5,10 @@ Usage:
     python3 scripts/run_laws.py --dims 1 2 3 --degrees 2 4 6
     python3 scripts/run_laws.py --json sweep.json
 
-Prints one summary row per configuration and a final verdict; exits 1 if any
-law fails anywhere in the sweep.  Useful for catching tolerance drift after
-touching the composition or convolution kernels.
+Prints one summary row per configuration, followed by its three slowest laws
+by runtime_ms, and a final verdict; exits 1 if any law fails anywhere in the
+sweep.  Useful for catching tolerance drift after touching the composition or
+convolution kernels.
 """
 
 import argparse
@@ -41,6 +42,8 @@ def main() -> int:
                 f"dim {dim} degree {degree}: {len(reports) - len(failed)}/{len(reports)} "
                 f"laws, worst error at {worst:.2e} of tolerance, {elapsed:.2f}s  {status}"
             )
+            slowest = sorted(reports, key=lambda r: r.runtime_ms, reverse=True)[:3]
+            print("  slowest: " + ", ".join(f"{r.name} {r.runtime_ms:.1f} ms" for r in slowest))
             any_failed = any_failed or bool(failed)
             all_reports.extend(
                 dict(r.to_json_dict(), dim=dim, degree=degree) for r in reports

@@ -10,16 +10,15 @@ comonad matrices finite and explicit.
 Conventions for the operator matrices:
 
 * bases are described by VectorBasis (a plain C^k), DistBasis (a distribution
-  space with its dimension and degree) and TensorBasis (pairs, row-major, so
-  matrix tensor products are numpy kron);
+  space with its dimension and degree) and TensorBasis (pairs, row-major);
 * a map out of a tensor basis truncates: any image index of total degree
   above the target degree is dropped to 0;
 * the structure maps (dereliction, digging, weakening, contraction,
   cocontraction, m2, the swap) are sparse scatters of index tables, built
   from their nonzero entries; coweakening, codereliction and m2's inverse are
   their transposes.  `LinearOperator` is the one place that computes on
-  (row, col, value) triples (`act`, `@`, `.T`, `-`); promotion, the
-  adjunction and `tensor` are dense;
+  (row, col, value) triples (`act`, `@`, `.T`, `-`), and a tensor product
+  of maps is two `act`s; promotion and the adjunction are dense;
 * the structural laws are checked on the sub-basis where the truncated maps
   are exact; the law harness states each restriction explicitly.
 """
@@ -35,7 +34,8 @@ import numpy as np
 
 from . import multiindex as mi
 from .series import (
-    FiniteSpace, TruncatedSeries, _check_degree, _json_int, _json_terms, _monomials_at
+    FiniteSpace, TruncatedSeries, _check_degree, _check_size, _json_int, _json_terms,
+    _monomials_at,
 )
 
 DIGGING_DIM_BOUND = 5000
@@ -54,11 +54,12 @@ class Distribution:
         if dim < 1:
             raise ValueError("empty space: dimension must be at least 1")
         degree = _check_degree(degree)
+        n_idx = _check_size(dim, 1, degree)
         arr = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-        if arr.size != mi.count_indices(dim, degree):
+        if arr.size != n_idx:
             raise ValueError(
                 f"coefficient vector has length {arr.size}, expected "
-                f"{mi.count_indices(dim, degree)} for dimension {dim} degree {degree}"
+                f"{n_idx} for dimension {dim} degree {degree}"
             )
         arr = arr.copy()
         arr.setflags(write=False)
@@ -71,12 +72,12 @@ class Distribution:
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "Distribution":
-        return cls(dim, degree, np.zeros(mi.count_indices(dim, degree)))
+        return cls(dim, degree, np.zeros(_check_size(dim, 1, degree)))
 
     @classmethod
     def extractor(cls, alpha, degree: int) -> "Distribution":
         """The basis functional eps_alpha."""
-        arr = np.zeros(mi.count_indices(len(alpha), degree), dtype=np.complex128)
+        arr = np.zeros(_check_size(len(alpha), 1, degree), dtype=np.complex128)
         arr[mi.position_of(alpha, degree)] = 1.0
         return cls(len(alpha), degree, arr)
 
@@ -148,7 +149,9 @@ class Distribution:
 def dirac(x, degree: int) -> Distribution:
     """The evaluation functional delta_x, with d_alpha = x^alpha."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    return Distribution(x.size, degree, _monomials_at(x, x.size, _check_degree(degree)))
+    degree = _check_degree(degree)
+    _check_size(x.size, 1, degree)
+    return Distribution(x.size, degree, _monomials_at(x, x.size, degree))
 
 
 def theta(order: int, x, degree: int) -> Distribution:
@@ -163,6 +166,7 @@ def theta(order: int, x, degree: int) -> Distribution:
     if not 0 <= order <= degree:
         raise ValueError(f"extractor order {order} outside 0..{degree}")
     dim = x.size
+    _check_size(dim, 1, degree)
     mono = _monomials_at(x, dim, degree)
     mask = mi.degree_vector(dim, degree) == order
     return Distribution(dim, degree, math.factorial(order) * mono * mask)
@@ -185,7 +189,7 @@ def codereliction(v, degree: int) -> Distribution:
     degree = _check_degree(degree)
     if degree < 1:
         raise ValueError("codereliction needs degree at least 1")
-    arr = np.zeros(mi.count_indices(v.size, degree), dtype=np.complex128)
+    arr = np.zeros(_check_size(v.size, 1, degree), dtype=np.complex128)
     arr[1 : 1 + v.size] = v  # positions 1..m are the unit indices e_1..e_m
     return Distribution(v.size, degree, arr)
 
@@ -417,13 +421,6 @@ class LinearOperator:
             n_cols,
         )
         return LinearOperator._from_triples(self.source, self.target, *entries, merged=True)
-
-    def tensor(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(
-            TensorBasis(self.source, other.source),
-            TensorBasis(self.target, other.target),
-            np.kron(self.matrix, other.matrix),
-        )
 
     def __call__(self, value):
         """Apply to a Distribution or a raw coordinate vector; the result is

@@ -32,9 +32,18 @@ factor 1 (x) A (x) 1 on one slot), `@`, `.T` and `-`.  These join the
 permutation of row indices, so no dense structure map, Kronecker product or
 swap matrix is built and the laws cost about as much as the maps they read.
 
-Laws resolve `compose` and the structure maps through the calculus and
-exponential module objects at call time, so a corrupted routine is observed
-by the suite (see the mutation tests in the test suite).
+The multi-index laws check the index kernels the package runs, with numpy
+over whole tables: `multiindex-count` that `rank` numbers the rows of
+`exponent_matrix` 0, 1, 2, ... and that there are C(dim + D, D) of them, and
+`multiindex-binom-symmetry` that the `convolution_table` weights equal
+prod_i C(a_i + b_i, a_i), computed from factorials, and are symmetric under
+a <-> b.  The inner nabla of `bialgebra-cocontraction-laws` is rebuilt the
+same way, with positions from a dict over the exponent rows, not from `rank`.
+
+Laws resolve `compose`, the structure maps and the index kernels through the
+calculus, exponential and multiindex module objects at call time, so a
+corrupted routine is observed by the suite (see the mutation tests in the
+test suite).
 """
 
 from __future__ import annotations
@@ -218,6 +227,13 @@ def _restriction(basis: xp.Basis, keep: np.ndarray) -> xp.LinearOperator:
     return xp.LinearOperator.from_entries(basis, basis, keep, keep, np.ones(keep.size))
 
 
+def _binomial_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """prod_i C(a_i + b_i, a_i) for each pair of exponent rows, from factorials."""
+    top = int((a + b).max(initial=0))
+    fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=np.int64)
+    return (fact[a + b] // (fact[a] * fact[b])).prod(axis=-1)
+
+
 def _deviation(lhs: xp.LinearOperator, rhs: xp.LinearOperator) -> float:
     """max |lhs - rhs| over the entries, repeated pairs summed."""
     return _max_abs((lhs - rhs).entries()[2])
@@ -257,10 +273,12 @@ def _law_mi_count(config: LawConfig, rng) -> Tuple[float, float, dict]:
     worst = 0.0
     for dim in range(1, 4):
         for deg in range(0, 7):
-            idx = mi.enumerate_indices(dim, deg)
-            worst = max(worst, abs(len(idx) - math.comb(dim + deg, deg)))
-            for p, a in enumerate(idx):
-                worst = max(worst, abs(mi.position_of(a, deg) - p))
+            exps = mi.exponent_matrix(dim, deg)
+            worst = max(
+                worst,
+                abs(len(exps) - math.comb(dim + deg, deg)),
+                _max_abs(mi.rank(exps) - np.arange(len(exps))),
+            )
     return worst, TOL_EXACT, {"dims": "1..3", "degrees": "0..6"}
 
 
@@ -276,17 +294,19 @@ def _law_mi_multinomial(config: LawConfig, rng) -> Tuple[float, float, dict]:
 
 @law("multiindex-binom-symmetry")
 def _law_mi_binom(config: LawConfig, rng) -> Tuple[float, float, dict]:
-    worst = 0
+    worst = 0.0
     for dim in range(1, 4):
-        idx = mi.enumerate_indices(dim, 4)
-        for a in idx:
-            for b in idx:
-                v = mi.binom_componentwise(a, b)
-                worst = max(worst, abs(v - mi.binom_componentwise(b, a)))
-                direct = math.prod(math.comb(x + y, x) for x, y in zip(a, b))
-                worst = max(worst, abs(v - direct))
-    worst = max(worst, abs(mi.binom_componentwise((1, 1), (1, 0)) - 2))
-    return float(worst), TOL_EXACT, {"dims": "1..3", "degrees": "0..4"}
+        ia, ib, _, w = mi.convolution_table(dim, 4)
+        exps = mi.exponent_matrix(dim, 4)
+        # the weight of the pair (b, a), inf where the table lacks that pair
+        swapped = np.full((len(exps), len(exps)), np.inf)
+        swapped[ib, ia] = w
+        worst = max(
+            worst,
+            _max_abs(w - _binomial_weights(exps[ia], exps[ib])),
+            _max_abs(w - swapped[ia, ib]),
+        )
+    return worst, TOL_EXACT, {"dims": "1..3", "degrees": "0..4"}
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +325,15 @@ def _law_homog_sum(config: LawConfig, rng) -> Tuple[float, float, dict]:
 @law("series-homogeneity-scaling")
 def _law_homog_scaling(config: LawConfig, rng) -> Tuple[float, float, dict]:
     f = random_series(rng, config.dim, 2, config.degree)
-    worst = 0.0
+    xs, ts = [], []
     for _ in range(5):
-        x = random_vector(rng, config.dim)
-        t = complex(rng.uniform(0.2, 1.5), rng.uniform(-0.5, 0.5))
-        for k in range(config.degree + 1):
-            part = f.homogeneous_part(k)
-            worst = max(worst, _max_abs(part.evaluate(t * x) - t**k * part.evaluate(x)))
+        xs.append(random_vector(rng, config.dim))
+        ts.append(complex(rng.uniform(0.2, 1.5), rng.uniform(-0.5, 0.5)))
+    xs, ts = np.array(xs), np.array(ts)[:, None]
+    worst = 0.0
+    for k in range(config.degree + 1):
+        part = f.homogeneous_part(k)
+        worst = max(worst, _max_abs(part.evaluate_many(ts * xs) - ts**k * part.evaluate_many(xs)))
     return worst, TOL_FLOAT, {"dim": config.dim, "degree": config.degree, "trials": 5}
 
 
@@ -319,14 +341,14 @@ def _law_homog_scaling(config: LawConfig, rng) -> Tuple[float, float, dict]:
 def _law_directional_fd(config: LawConfig, rng) -> Tuple[float, float, dict]:
     f = random_series(rng, config.dim, 2, config.degree)
     t = 1e-5
-    worst = 0.0
+    xs, vs = [], []
     for _ in range(5):
-        x = random_vector(rng, config.dim, scale=0.3)
-        v = random_vector(rng, config.dim, scale=1.0)
-        exact = f.directional_derivative(x, v)
-        fd = (f.evaluate(x + t * v) - f.evaluate(x - t * v)) / (2 * t)
-        worst = max(worst, _max_abs(exact - fd))
-    return worst, TOL_FD, {"dim": config.dim, "degree": config.degree, "step": t}
+        xs.append(random_vector(rng, config.dim, scale=0.3))
+        vs.append(random_vector(rng, config.dim, scale=1.0))
+    xs, vs = np.array(xs), np.array(vs)
+    exact = np.array([f.directional_derivative(x, v) for x, v in zip(xs, vs)])
+    fd = (f.evaluate_many(xs + t * vs) - f.evaluate_many(xs - t * vs)) / (2 * t)
+    return _max_abs(exact - fd), TOL_FD, {"dim": config.dim, "degree": config.degree, "step": t}
 
 
 @law("series-cauchy-sampled")
@@ -339,10 +361,8 @@ def _law_cauchy(config: LawConfig, rng) -> Tuple[float, float, dict]:
     pts = config.degree + 1
     angles = 2 * np.pi * np.arange(pts) / pts
     axes = [r * np.exp(1j * angles)] * config.dim
-    sample_max = 0.0
-    for combo in np.ndindex(*(pts,) * config.dim):
-        x = np.array([axes[i][c] for i, c in enumerate(combo)])
-        sample_max = max(sample_max, _max_abs(f.evaluate(x)))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, config.dim)
+    sample_max = _max_abs(f.evaluate_many(grid))
     degs = mi.degree_vector(config.dim, config.degree)
     bounds = np.abs(f.coeffs[0]) * r ** degs.astype(float)
     excess = max(0.0, float(np.max(bounds)) - sample_max)
@@ -514,13 +534,13 @@ def _law_chain_rule(config: LawConfig, rng) -> Tuple[float, float, dict]:
     f = random_series(rng, config.dim, 1, config.degree)
     g = random_series(rng, config.dim, config.dim, config.degree, zero_constant=True)
     comp = ca.compose(f, g)
+    outer = [ca.compose(f.partial_derivative(j), g) for j in range(config.dim)]
     worst = 0.0
     for i in range(config.dim):
-        lhs = comp.component(0).partial_derivative(i)
+        lhs = comp.partial_derivative(i)
         rhs = TruncatedSeries.zero(config.dim, 1, config.degree - 1)
         for j in range(config.dim):
-            outer = ca.compose(f.component(0).partial_derivative(j), g)
-            rhs = rhs + outer.pointwise_multiply(g.component(j).partial_derivative(i))
+            rhs = rhs + outer[j].pointwise_multiply(g.component(j).partial_derivative(i))
         worst = max(worst, _max_abs(lhs.coeffs - rhs.coeffs))
     return worst, TOL_FLOAT, {"dim": config.dim, "degree": config.degree}
 
@@ -682,16 +702,16 @@ def _law_cocontraction(config: LawConfig, rng) -> Tuple[float, float, dict]:
     # nabla (nabla (x) 1) = nabla (1 (x) nabla), nabla (m0 (x) 1) = 1 =
     # nabla (1 (x) m0) and nabla sigma = nabla, checked on the transposes so
     # that every factor acts on row indices; the inner nabla of the left-hand
-    # side is rebuilt from binom_componentwise, with pairs past D sent to 0
+    # side is rebuilt from the exponent rows, with pairs past D sent to 0
     dim, degree = config.dim, config.degree
-    n = mi.count_indices(dim, degree)
-    pos = mi.index_positions(dim, degree)
-    rows, cols, vals = [], [], []
-    for i, alpha in enumerate(mi.enumerate_indices(dim, degree)):
-        for j, beta in enumerate(mi.enumerate_indices(dim, degree - alpha.degree())):
-            rows.append(i * n + j)
-            cols.append(pos[alpha + beta])
-            vals.append(mi.binom_componentwise(alpha, beta))
+    exps = mi.exponent_matrix(dim, degree)
+    n = len(exps)
+    pos = {row: p for p, row in enumerate(map(tuple, exps.tolist()))}
+    degs = exps.sum(axis=1)
+    i, j = np.nonzero(degs[:, None] + degs <= degree)
+    rows = i * n + j
+    cols = [pos[row] for row in map(tuple, (exps[i] + exps[j]).tolist())]
+    vals = _binomial_weights(exps[i], exps[j])
     nabla = xp.cocontraction(dim, degree)
     rebuilt = xp.LinearOperator.from_entries(nabla.target, nabla.source, rows, cols, vals)
     worst = _comonoid_deviation(nabla.T, rebuilt, xp.coweakening(dim, degree).T)
@@ -759,7 +779,9 @@ def _law_monoidal_strength(config: LawConfig, rng) -> Tuple[float, float, dict]:
     rho_e = xp.comultiplication(dim_e, degree)
     rho_f = xp.comultiplication(dim_f, degree)
     m2_bang = xp.monoidal_product(rho_e.target.dim, rho_f.target.dim, degree)
-    worst = _deviation(lhs, m2_bang @ rho_e.tensor(rho_f) @ restrict)
+    # rho_e (x) rho_f as rho_f on the right slot, then rho_e on the left
+    digged = rho_e.act(rho_f.act(restrict), after=rho_f.target.size)
+    worst = _deviation(lhs, m2_bang.act(digged))
     return worst, TOL_EXACT, {
         "dims": [dim_e, dim_f],
         "degree": degree,
@@ -786,13 +808,10 @@ def _law_coder_identity(config: LawConfig, rng) -> Tuple[float, float, dict]:
 def _law_coder_fd(config: LawConfig, rng) -> Tuple[float, float, dict]:
     f = random_series(rng, config.dim, 2, config.degree)
     t = 1e-6
-    worst = 0.0
-    for _ in range(5):
-        v = random_vector(rng, config.dim, scale=1.0)
-        exact = xp.codereliction(v, config.degree).apply(f)
-        fd = (f.evaluate(t * v) - f.evaluate(-t * v)) / (2 * t)
-        worst = max(worst, _max_abs(exact - fd))
-    return worst, 1e-5, {"dim": config.dim, "degree": config.degree, "step": t}
+    vs = np.array([random_vector(rng, config.dim, scale=1.0) for _ in range(5)])
+    exact = np.array([xp.codereliction(v, config.degree).apply(f) for v in vs])
+    fd = (f.evaluate_many(t * vs) - f.evaluate_many(-t * vs)) / (2 * t)
+    return _max_abs(exact - fd), 1e-5, {"dim": config.dim, "degree": config.degree, "step": t}
 
 
 @law("codereliction-digging")

@@ -19,6 +19,7 @@ from . import multiindex as mi
 from .series import FiniteSpace, TruncatedSeries
 
 POLARIZE_MAX_ARITY = 8
+_POLARIZE_POINTS = 1024  # points `polarize` evaluates per batch of tuples
 
 
 @lru_cache(maxsize=None)
@@ -157,17 +158,15 @@ def polarize(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultiline
         )
     m = f.domain.dim
     tuples = sorted_tuples(m, k)
+    tuples = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
+    # row `mask` of masks @ units is eps_1 x_1 + ... + eps_k x_k, eps_slot the
+    # bit `slot` of mask, for the unit vectors x_slot = e_(t[slot])
+    masks = np.arange(2**k)[:, None] >> np.arange(k) & 1
+    signs = (-1.0) ** (k - masks.sum(axis=1)) / math.factorial(k)
     entries = np.zeros((f.codomain.dim, len(tuples)), dtype=np.complex128)
-    kfac = math.factorial(k)
-    for t_idx, t in enumerate(tuples):
-        acc = np.zeros(f.codomain.dim, dtype=np.complex128)
-        for mask in range(2**k):
-            x = np.zeros(m, dtype=np.complex128)
-            bits = 0
-            for slot in range(k):
-                if mask >> slot & 1:
-                    x[t[slot]] += 1.0
-                    bits += 1
-            acc += (-1.0) ** (k - bits) * f.evaluate(x)
-        entries[:, t_idx] = acc / kfac
+    step = max(1, _POLARIZE_POINTS // 2**k)
+    for start in range(0, len(tuples), step):
+        points = masks @ np.eye(m)[tuples[start : start + step]]
+        values = f.evaluate_many(points.reshape(-1, m)).reshape(*points.shape[:2], -1)
+        entries[:, start : start + step] = (signs @ values).T
     return SymmetricMultilinear(k, f.domain, f.codomain, entries)

@@ -11,7 +11,10 @@ checked: the series and distribution JSON loaders and the term language's
 coefficient maps all build through it.
 
 The environment variable DILL_SERIES_MAX_DEGREE (default 8) caps truncation
-degrees globally; constructors reject anything larger.
+degrees globally; constructors reject anything larger.  A coefficient table
+may hold at most SIZE_BUDGET entries, codomain dimension times
+`count_indices`; the constructors check that before they allocate, so an
+oversized request fails at once instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +31,11 @@ from . import multiindex as mi
 
 DEGREE_CAP_ENV = "DILL_SERIES_MAX_DEGREE"
 _DEGREE_CAP_DEFAULT = 8
+# entries of one coefficient table: 64 MiB of complex128
+SIZE_BUDGET = 2**22
+# coordinate powers gathered per block of points in `evaluate_many`: 64 KiB,
+# under glibc's 128 KiB mmap threshold, so blocks reuse freed heap memory
+_POINT_BLOCK = 2**12
 
 
 def max_degree_cap() -> int:
@@ -53,6 +62,18 @@ def _check_degree(degree: int) -> int:
             f"(set {DEGREE_CAP_ENV} to raise it)"
         )
     return degree
+
+
+def _check_size(dom_dim: int, cod_dim: int, degree: int) -> int:
+    """count_indices(dom_dim, degree), once a table of cod_dim rows of that many
+    coefficients is known to fit SIZE_BUDGET."""
+    n_idx = mi.count_indices(dom_dim, degree)
+    if cod_dim * n_idx > SIZE_BUDGET:
+        raise ValueError(
+            f"a table of {cod_dim} x {n_idx} coefficients (dimension {dom_dim}, "
+            f"degree {degree}) exceeds the size budget of {SIZE_BUDGET}"
+        )
+    return n_idx
 
 
 @dataclass(frozen=True)
@@ -121,11 +142,29 @@ def _json_terms(raw, kind: str) -> dict:
     return terms
 
 
+@lru_cache(maxsize=None)
+def _power_positions(dim: int, degree: int):
+    """The exponents 0..degree, and for each exponent row alpha the positions
+    of x_i^alpha_i in a flattened (dim, degree + 1) table of powers."""
+    flat = mi.exponent_matrix(dim, degree) + (degree + 1) * np.arange(dim)
+    ks = np.arange(degree + 1)
+    flat.setflags(write=False)
+    ks.setflags(write=False)
+    return ks, flat
+
+
 def _monomials_at(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
-    """Vector of x^alpha over the graded order, with 0^0 = 1."""
-    exps = mi.exponent_matrix(dim, degree)
-    pows = np.where(exps == 0, 1.0 + 0j, x[None, :] ** exps)
-    return np.prod(pows, axis=1)
+    """x^alpha over the graded order for each point along the last axis of the
+    complex array x: shape (..., dim) to (..., count), with 0^0 = 1.
+
+    Each coordinate's powers x_i^k, k <= degree, are computed once (numpy's
+    x^0 is exactly 1, for 0, inf and nan too), gathered by the exponent rows
+    and multiplied out with `np.prod`, so one point gets the bits of the
+    product of its coordinate powers.
+    """
+    ks, flat = _power_positions(dim, degree)
+    powers = x[..., None] ** ks
+    return powers.reshape(*x.shape[:-1], -1)[..., flat].prod(axis=-1)
 
 
 class TruncatedSeries:
@@ -135,7 +174,7 @@ class TruncatedSeries:
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, degree: int, coeffs):
         degree = _check_degree(degree)
-        n_idx = mi.count_indices(domain.dim, degree)
+        n_idx = _check_size(domain.dim, codomain.dim, degree)
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.shape != (codomain.dim, n_idx):
             raise ValueError(
@@ -156,7 +195,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, dom_dim: int, cod_dim: int, degree: int) -> "TruncatedSeries":
-        n_idx = mi.count_indices(dom_dim, _check_degree(degree))
+        n_idx = _check_size(dom_dim, cod_dim, _check_degree(degree))
         return cls(
             FiniteSpace(dom_dim),
             FiniteSpace(cod_dim),
@@ -174,6 +213,7 @@ class TruncatedSeries:
         """Build from {(out_component, alpha): coefficient}, checking every key first."""
         domain, codomain = FiniteSpace(dom_dim), FiniteSpace(cod_dim)
         degree = _check_degree(degree)
+        n_idx = _check_size(dom_dim, cod_dim, degree)
         for j, alpha in terms:
             if len(alpha) != dom_dim:
                 raise ValueError(
@@ -191,7 +231,7 @@ class TruncatedSeries:
             if negative[k]:
                 raise ValueError(f"negative exponent in multi-index {tuple(alphas[k])}")
             raise ValueError(f"multi-index {tuple(alphas[k])} exceeds degree {degree}")
-        arr = np.zeros((cod_dim, mi.count_indices(dom_dim, degree)), dtype=np.complex128)
+        arr = np.zeros((cod_dim, n_idx), dtype=np.complex128)
         arr[[j for j, _ in terms], mi.rank(exps.astype(np.int64))] = list(terms.values())
         return cls(domain, codomain, degree, arr)
 
@@ -227,6 +267,24 @@ class TruncatedSeries:
                 f"point has dimension {x.size}, series domain is {self.domain.dim}"
             )
         return self.coeffs @ _monomials_at(x, self.domain.dim, self.degree)
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Values at a stack of points, shape (P, dim) to (P, codomain dim),
+        computed a block of points at a time so that the monomial table stays
+        small."""
+        pts = np.asarray(points, dtype=np.complex128)
+        if pts.ndim != 2 or pts.shape[1] != self.domain.dim:
+            raise ValueError(
+                f"points have shape {pts.shape}, expected (count, {self.domain.dim})"
+            )
+        out = np.empty((len(pts), self.codomain.dim), dtype=np.complex128)
+        step = max(1, _POINT_BLOCK // (self.coeffs.shape[1] * self.domain.dim))
+        for start in range(0, len(pts), step):
+            block = pts[start : start + step]
+            out[start : start + step] = (
+                _monomials_at(block, self.domain.dim, self.degree) @ self.coeffs.T
+            )
+        return out
 
     def homogeneous_part(self, k: int) -> "TruncatedSeries":
         """Series with the same degree whose only nonzero coefficients have |alpha| = k."""

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -80,6 +81,28 @@ def test_unknown_subcommand_exits_1():
 def test_no_arguments_exits_1():
     proc = run_cli()
     assert proc.returncode == 1
+
+
+def test_module_entry_writes_whole_output(tmp_path, capsys):
+    # the entry freezes the import heap and returns normally, so the output
+    # file and stdout are flushed in full
+    out = tmp_path / "result.json"
+    example = str(EXAMPLES / "compose.dsl")
+    to_file = run_cli("eval", example, "-o", str(out))
+    to_stdout = run_cli("eval", example)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, "", "")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, "")
+    assert main(["eval", example]) == 0
+    in_process = capsys.readouterr().out
+    assert out.read_text() == to_stdout.stdout == in_process
+    assert json.loads(in_process)["kind"] == "series"
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    assert gc.get_freeze_count() == 0
+    assert main(["check-laws", "--dim", "1", "--deg", "1", "--law", "multiindex-count"]) == 0
+    assert main(["eval", str(EXAMPLES / "theta.dsl")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 # -- in-process coverage of the subcommands -----------------------------------
@@ -243,6 +266,22 @@ def test_diff_high_dimension_does_not_recurse(tmp_path, capsys):
     assert data["coeffs"] == [{"out": 0, "alpha": [0] * 900, "re": 3.0, "im": 0.0}]
     assert main(["diff", str(path), "--coord", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["coeffs"] == []
+
+
+def test_oversized_tables_are_one_error(tmp_path, capsys):
+    # each of these once ran for over 10 s, and under an address-space limit
+    # exited 2 with a MemoryError; the size budget refuses them up front
+    literal = tmp_path / "wide.dsl"
+    literal.write_text("(series :dom 40 :cod 1 :deg 8 {})\n")
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"domain_dim": 30, "codomain_dim": 1, "degree": 8, "coeffs": []}))
+    for argv in (["eval", str(literal)], ["diff", str(wide)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "exceeds the size budget" in lines[0]
 
 
 def test_series_json_repeated_entry_rejected(tmp_path, capsys):

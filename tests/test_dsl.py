@@ -431,6 +431,9 @@ _PROGRAMS = st.lists(
 @example(["(eval o f)"])  # each of these once exited 2 with a TypeError
 @example(["(eval (bang f 2) f)"])
 @example(["(eval o c)"])
+# C(48, 8) coefficients: these once ran for minutes, then hit a MemoryError
+@example(["(series :dom 40 :cod 1 :deg 8 {})"])
+@example(["(dirac [" + "0 " * 80 + "] 8)"])
 def test_fuzz_terms_raise_only_parse_or_eval_errors(forms):
     text = _PRELUDE + "\n".join(forms)
     try:
@@ -439,8 +442,9 @@ def test_fuzz_terms_raise_only_parse_or_eval_errors(forms):
         pass
 
 
-# Any JSON value.  Integers stay small: a large domain_dim, codomain_dim or
-# dim is an oversize basis, which the loaders do not refuse yet.
+# Any JSON value.  Integers stay small, so that most drawn files get past
+# their header; the oversize headers, which the size budget refuses before
+# anything is allocated, are among the examples below.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
@@ -492,6 +496,8 @@ _TARGETS = [
 @example((xp.Distribution.from_json_dict, _DIST_DOC, ("dim",)), -1)
 @example((TruncatedSeries.from_json_dict, _SERIES_DOC, ("degree",)), 3000)
 @example((xp.Distribution.from_json_dict, _DIST_DOC, ("degree",)), 3000)
+# a table past the size budget was once allocated (1.6 GB here) before any check
+@example((TruncatedSeries.from_json_dict, _SERIES_DOC, ("codomain_dim",)), 10**7)
 def test_fuzz_json_loaders_raise_only_value_errors(target, value):
     # one field, list, item or exponent of a valid file is replaced or removed
     load, doc, path = target

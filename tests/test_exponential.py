@@ -261,15 +261,6 @@ def test_operator_shapes_and_compose():
         op.matrix = None
 
 
-def test_operator_tensor_is_kron():
-    a = xp.LinearOperator.identity(xp.VectorBasis(2))
-    mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = xp.LinearOperator(xp.VectorBasis(2), xp.VectorBasis(2), mat)
-    t = a.tensor(b)
-    assert t.source.size == 4
-    np.testing.assert_array_equal(t.matrix, np.kron(np.eye(2), mat))
-
-
 def test_operator_call_wraps_distributions():
     op = xp.counit(2, 3)
     x = np.array([0.5, -0.25])

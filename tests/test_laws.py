@@ -10,6 +10,7 @@ import pytest
 from dillcalc import calculus as ca
 from dillcalc import exponential as xp
 from dillcalc import laws
+from dillcalc import multiindex as mi
 from dillcalc.series import TruncatedSeries
 
 EXPECTED_LAWS = [
@@ -165,6 +166,55 @@ def test_corrupted_structure_map_is_caught(monkeypatch, operator, corrupt, caugh
     assert all(r.passed for r in laws.run_suite(cfg, rerun))
 
 
+def _bump_one_weight(original):
+    def crooked(dim, degree):
+        ia, ib, ic, w = original(dim, degree)
+        w = w.copy()
+        w[w.size // 2] += 1.0
+        return ia, ib, ic, w
+
+    return crooked
+
+
+def _shift_last_rank(original):
+    def crooked(exps):
+        ranks = np.array(original(exps))
+        ranks.reshape(-1)[-1:] += 1
+        return ranks
+
+    return crooked
+
+
+def _bump_one_nabla_entry(original):
+    def crooked(dim, degree):
+        op = original(dim, degree)
+        rows, cols, vals = (np.array(a) for a in op.entries())
+        vals[vals.size // 2] += 1.0
+        return xp.LinearOperator.from_entries(op.source, op.target, rows, cols, vals)
+
+    return crooked
+
+
+@pytest.mark.parametrize(
+    "module, kernel, corrupt, law",
+    [
+        (mi, "convolution_table", _bump_one_weight, "multiindex-binom-symmetry"),
+        (mi, "rank", _shift_last_rank, "multiindex-count"),
+        (xp, "cocontraction", _bump_one_nabla_entry, "bialgebra-cocontraction-laws"),
+    ],
+    ids=["convolution-weight", "rank", "nabla-entry"],
+)
+def test_corrupted_index_kernel_is_caught(monkeypatch, module, kernel, corrupt, law):
+    # the restated checks read the shipped kernels, so one wrong entry shows
+    cfg = laws.LawConfig(dim=2, degree=3)
+    monkeypatch.setattr(module, kernel, corrupt(getattr(module, kernel)))
+    report = laws.run_law(law, cfg)
+    assert not report.passed
+    assert report.max_error > report.tolerance
+    monkeypatch.undo()
+    assert laws.run_law(law, cfg).passed
+
+
 def test_corrupted_power_table_is_caught(monkeypatch):
     # compose and bang_map multiply by the power table; compose_naive never
     # reads it
@@ -282,6 +332,16 @@ def test_run_laws_script_sweeps_clean(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("sweep clean")
+    # each summary row is followed by the three slowest laws of its configuration
+    lines = proc.stdout.splitlines()
+    summaries = [k for k, line in enumerate(lines) if line.startswith("dim ")]
+    assert len(summaries) == 4
+    for k in summaries:
+        slowest = lines[k + 1].removeprefix("  slowest: ").split(", ")
+        assert lines[k + 1].startswith("  slowest: ") and len(slowest) == 3
+        times = [float(entry.split()[1]) for entry in slowest]
+        assert all(entry.split()[0] in EXPECTED_LAWS for entry in slowest)
+        assert times == sorted(times, reverse=True)
     reports = json.loads(out.read_text())
     per_config = {}
     for r in reports:

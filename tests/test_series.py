@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dillcalc import exponential as xp
 from dillcalc import multiindex as mi
+from dillcalc import series
 from dillcalc.series import (
     DEGREE_CAP_ENV,
+    SIZE_BUDGET,
     FiniteSpace,
     TruncatedSeries,
+    _monomials_at,
     coefficient_distance,
     max_degree_cap,
 )
@@ -21,6 +25,7 @@ from brute import (
     bp_mul,
     bp_scale,
     from_series,
+    graded_order,
     iter_indices,
     max_mismatch,
 )
@@ -90,6 +95,103 @@ def test_evaluate_dim_check():
     f = TruncatedSeries.identity(2, 2)
     with pytest.raises(ValueError, match="dimension"):
         f.evaluate([1.0])
+    with pytest.raises(ValueError, match=r"expected \(count, 2\)"):
+        f.evaluate_many([1.0, 2.0])
+    with pytest.raises(ValueError, match=r"expected \(count, 2\)"):
+        f.evaluate_many(np.ones((3, 3)))
+
+
+def _points(rng, count, dim):
+    """Random complex points, about a third of their coordinates exactly 0,
+    and signed zeros in the parts of the others."""
+    pts = rng.uniform(-1.5, 1.5, (count, dim)) + 1j * rng.uniform(-1.5, 1.5, (count, dim))
+    pts[rng.uniform(size=(count, dim)) < 0.3] = 0.0
+    pts[0] = [complex(-0.5, -0.0)] * dim
+    pts[1] = [complex(-0.0, 0.75)] * dim
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_batched_monomials_match_plain_tuple_products(dim):
+    rng = np.random.default_rng(dim)
+    pts = _points(rng, 7, dim)
+    for degree in range(7):
+        got = _monomials_at(pts, dim, degree)
+        assert got.shape == (7, mi.count_indices(dim, degree))
+        for p, x in enumerate(pts.tolist()):
+            want = []
+            for alpha in graded_order(dim, degree):
+                term = 1.0 + 0j
+                for xi, e in zip(x, alpha):
+                    term *= xi**e  # Python's 0 ** 0 is 1 as well
+                want.append(term)
+            np.testing.assert_allclose(got[p], want, rtol=1e-13, atol=0)
+            # a zero coordinate gives exactly 0 wherever its exponent is positive
+            zero = (np.array(graded_order(dim, degree))[:, np.array(x) == 0] > 0).any(axis=1)
+            assert not got[p][zero].any()
+            assert got[p][0] == 1.0
+
+
+def _monomials_reference(x, dim, degree):
+    # the single-point formula the batched kernel replaced, kept to pin its bits
+    exps = mi.exponent_matrix(dim, degree)
+    pows = np.where(exps == 0, 1.0 + 0j, x[None, :] ** exps)
+    return np.prod(pows, axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_single_point_kernels_keep_their_bits(dim):
+    rng = np.random.default_rng(10 + dim)
+    for degree in range(7):
+        f = TruncatedSeries.from_arrays(
+            dim, 2, degree, rng.uniform(-1, 1, (2, mi.count_indices(dim, degree)))
+        )
+        degs = mi.degree_vector(dim, degree)
+        for x in _points(rng, 6, dim):
+            mono = _monomials_reference(x, dim, degree)
+            assert _monomials_at(x, dim, degree).tobytes() == mono.tobytes()
+            assert f.evaluate(x).tobytes() == (f.coeffs @ mono).tobytes()
+            assert xp.dirac(x, degree).coeffs.tobytes() == mono.tobytes()
+            for order in range(degree + 1):
+                want = math.factorial(order) * mono * (degs == order)
+                assert xp.theta(order, x, degree).coeffs.tobytes() == want.tobytes()
+
+
+def test_evaluate_many_matches_evaluate_across_blocks(monkeypatch):
+    rng = np.random.default_rng(3)
+    f = TruncatedSeries.from_arrays(
+        2, 3, 4, rng.uniform(-1, 1, (3, 15)) + 1j * rng.uniform(-1, 1, (3, 15))
+    )
+    pts = _points(rng, 11, 2)
+    # two points per block: 15 monomials times 2 coordinates each
+    monkeypatch.setattr(series, "_POINT_BLOCK", 60)
+    got = f.evaluate_many(pts)
+    assert got.shape == (11, 3)
+    for row, x in zip(got, pts):
+        np.testing.assert_allclose(row, f.evaluate(x), rtol=1e-14, atol=1e-15)
+    assert f.evaluate_many(np.zeros((0, 2))).shape == (0, 3)
+
+
+def test_size_budget_is_checked_before_allocating():
+    # C(48, 8) = 377348994 coefficients; these once allocated gigabytes or ran
+    # for minutes before failing
+    dom, degree = 40, 8
+    count = mi.count_indices(dom, degree)
+    assert count > SIZE_BUDGET
+    for build in (
+        lambda: TruncatedSeries.from_terms(dom, 1, degree, {}),
+        lambda: TruncatedSeries.zero(dom, 1, degree),
+        lambda: xp.Distribution.zero(dom, degree),
+        lambda: xp.dirac(np.zeros(dom), degree),
+        lambda: xp.theta(1, np.zeros(dom), degree),
+        lambda: xp.codereliction(np.zeros(dom), degree),
+    ):
+        with pytest.raises(ValueError, match=f"1 x {count} coefficients .* size budget"):
+            build()
+    # the budget counts every output row
+    rows = SIZE_BUDGET // mi.count_indices(2, 3) + 1
+    with pytest.raises(ValueError, match="size budget"):
+        TruncatedSeries.from_terms(2, rows, 3, {})
 
 
 @settings(max_examples=40, deadline=None)
