@@ -1,14 +1,7 @@
 """Truncated multivariate power series over C, with the distribution algebra
 of coefficient extractors, a law-checking harness and a small term language."""
 
-from .multiindex import (
-    MultiIndex,
-    binom_componentwise,
-    count_indices,
-    enumerate_indices,
-    multinomial,
-    position_of,
-)
+from .multiindex import binom_componentwise, count_indices, position_of
 from .series import (
     DEGREE_CAP_ENV,
     FiniteSpace,
@@ -53,7 +46,7 @@ from .exponential import (
     weakening,
 )
 
-# The law harness, with its registry of 40 laws, is imported on first use of
+# The law harness, with its registry of 39 laws, is imported on first use of
 # one of its names, so `import dillcalc` and the other subcommands do not pay
 # for it.
 _LAW_NAMES = ("LawConfig", "LawReport", "law_names", "run_law", "run_suite")
@@ -70,11 +63,8 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiIndex",
     "binom_componentwise",
     "count_indices",
-    "enumerate_indices",
-    "multinomial",
     "position_of",
     "DEGREE_CAP_ENV",
     "FiniteSpace",

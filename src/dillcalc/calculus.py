@@ -9,6 +9,9 @@ nonzero constant part of g lets every coefficient of f reach every output
 coefficient, so it is rejected unless the caller declares the outer series to
 be an exact polynomial.  `compose_naive` substitutes g into each monomial of f
 with repeated truncated products and serves as the independent oracle.
+
+`derivative_series` gathers every partial derivative at once through
+`multiindex.derivative_table`, the table `partial_derivative` reads one row of.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import exponential as xp
 from . import multiindex as mi
 from . import multilinear as ml
-from .series import FiniteSpace, TruncatedSeries, _monomials_at
+from .series import FiniteSpace, TruncatedSeries, _check_size, _monomials_at
 
 
 def _composable(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool):
@@ -76,18 +79,17 @@ def compose_naive(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool
     deg, g, constant_inner = _composable(f, g, outer_polynomial)
     p = g.domain.dim
     components = [g.component(i) for i in range(g.codomain.dim)]
-    max_exp = int(np.max(mi.exponent_matrix(f.domain.dim, f.degree))) if f.degree else 0
     one = TruncatedSeries.constant([1.0], p, deg)
     powers = []
     for comp in components:
         row = [one]
-        for _ in range(max_exp):
+        for _ in range(f.degree):  # the largest exponent of f
             row.append(row[-1].pointwise_multiply(comp))
         powers.append(row)
 
     out = np.zeros((f.codomain.dim, mi.count_indices(p, deg)), dtype=np.complex128)
-    for p_idx, alpha in enumerate(mi.enumerate_indices(f.domain.dim, f.degree)):
-        if not constant_inner and alpha.degree() > deg:
+    for p_idx, alpha in enumerate(mi.exponent_matrix(f.domain.dim, f.degree).tolist()):
+        if not constant_inner and sum(alpha) > deg:
             continue  # valuation of the substituted monomial already exceeds deg
         col = f.coeffs[:, p_idx]
         if not np.any(col):
@@ -245,15 +247,17 @@ def split_slot_reference(f: TruncatedSeries, outer_dim: int, x, y) -> np.ndarray
 
 
 def derivative_series(f: TruncatedSeries) -> TruncatedSeries:
-    """Matrix valued derivative df: C^m -> C^(n*m), row-major components (j, i)."""
-    m = f.domain.dim
-    parts = [f.partial_derivative(i) for i in range(m)]
-    deg = parts[0].degree
-    arr = np.zeros((f.codomain.dim * m, mi.count_indices(m, deg)), dtype=np.complex128)
-    for j in range(f.codomain.dim):
-        for i in range(m):
-            arr[j * m + i] = parts[i].coeffs[j]
-    return TruncatedSeries(f.domain, FiniteSpace(f.codomain.dim * m), deg, arr)
+    """Matrix valued derivative df: C^m -> C^(n*m), row-major components (j, i).
+
+    One gather through the derivative table of every coordinate; the size of
+    the result is checked before the table is built."""
+    m, n = f.domain.dim, f.codomain.dim
+    deg = max(f.degree - 1, 0)
+    _check_size(m, n * m, deg)
+    if f.degree == 0:
+        return TruncatedSeries.zero(m, n * m, 0)
+    src, factor = mi.derivative_table(m, f.degree)
+    return TruncatedSeries(f.domain, FiniteSpace(n * m), deg, (f.coeffs[:, src] * factor).reshape(n * m, -1))
 
 
 def jacobian_at(f: TruncatedSeries, x) -> np.ndarray:

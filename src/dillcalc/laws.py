@@ -39,6 +39,8 @@ over whole tables: `multiindex-count` that `rank` numbers the rows of
 prod_i C(a_i + b_i, a_i), computed from factorials, and are symmetric under
 a <-> b.  The inner nabla of `bialgebra-cocontraction-laws` is rebuilt the
 same way, with positions from a dict over the exponent rows, not from `rank`.
+The derivative table is checked through `partial_derivative` by
+`series-directional-finite-difference` and `chain-rule`.
 
 Laws resolve `compose`, the structure maps and the index kernels through the
 calculus, exponential and multiindex module objects at call time, so a
@@ -280,16 +282,6 @@ def _law_mi_count(config: LawConfig, rng) -> Tuple[float, float, dict]:
                 _max_abs(mi.rank(exps) - np.arange(len(exps))),
             )
     return worst, TOL_EXACT, {"dims": "1..3", "degrees": "0..6"}
-
-
-@law("multiindex-multinomial-factorial")
-def _law_mi_multinomial(config: LawConfig, rng) -> Tuple[float, float, dict]:
-    worst = 0
-    for dim in range(1, 4):
-        for a in mi.enumerate_indices(dim, 6):
-            lhs = mi.multinomial(a) * math.prod(math.factorial(e) for e in a)
-            worst = max(worst, abs(lhs - math.factorial(a.degree())))
-    return float(worst), TOL_EXACT, {"dims": "1..3", "degrees": "0..6"}
 
 
 @law("multiindex-binom-symmetry")

@@ -7,57 +7,27 @@ comparison of the exponent tuples, so for dimension 2 the order starts
 depend on the truncation degree, so a degree-D table is a prefix of the
 degree-D' table for D' > D.  All counting is done in exact integer arithmetic.
 
-`rank` is the one place positions are computed: it maps exponent rows to
-graded positions arithmetically, and the derivative table, the exponential
-structure maps, currying, series construction and the JSON writers all scatter
-through it or read rows of `exponent_matrix`.  The product and convolution
-tables come from one pass, `_pair_tables`, that applies the same formula to
-sums of suffix sums, so the summed exponent rows are never formed.
-`MultiIndex` validates the scalar API (`position_of`, `multinomial`,
-`binom_componentwise`); it, `enumerate_indices` and `index_positions`, a dict
-built from the enumeration alone, are kept for check-only code that must stay
-independent of `rank`.
+A multi-index is a row of integers: `exponent_matrix` holds the rows of the
+graded order, and `rank` is the one place positions are computed.  It maps
+exponent rows to graded positions arithmetically, and the exponential
+structure maps, currying, series construction and the JSON writers all
+scatter through it or read rows of `exponent_matrix`.  The product,
+convolution and derivative tables apply the same formula to shifted suffix
+sums, so the summed or raised exponent rows are never formed.  The scalar
+API (`position_of`, `binom_componentwise`) takes any sequence of integers and
+checks it with `_checked`.  `indices_of_degree`, `enumerate_indices` and
+`index_positions` are plain-tuple views of the exponent rows that no package
+code calls; the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-
-
-class MultiIndex(tuple):
-    """Exponent vector of a monomial, one nonnegative entry per coordinate."""
-
-    def __new__(cls, exponents):
-        idx = super().__new__(cls, (int(e) for e in exponents))
-        if not idx:
-            raise ValueError("empty space: dimension must be at least 1")
-        if min(idx) < 0:
-            raise ValueError(f"negative exponent in multi-index {tuple(idx)}")
-        return idx
-
-    def degree(self) -> int:
-        return sum(self)
-
-    def __add__(self, other):
-        if len(self) != len(other):
-            raise ValueError(
-                f"multi-index dimensions differ: {len(self)} vs {len(other)}"
-            )
-        return MultiIndex(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other):
-        if len(self) != len(other):
-            raise ValueError(
-                f"multi-index dimensions differ: {len(self)} vs {len(other)}"
-            )
-        return MultiIndex(a - b for a, b in zip(self, other))
-
-    def to_json(self) -> list[int]:
-        return list(self)
 
 
 def _require_dim(dim: int) -> None:
@@ -89,35 +59,23 @@ def _degree_block(dim: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def indices_of_degree(dim: int, degree: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices with total degree exactly `degree`, in graded order.
-
-    Within the fixed degree the order is descending lexicographic, which is
-    what makes (1,0) come before (0,1).
-    """
+def indices_of_degree(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent rows of total degree exactly `degree`, as tuples."""
     _require_dim(dim)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return tuple(MultiIndex(row) for row in _degree_block(dim, degree).tolist())
+    return tuple(map(tuple, _degree_block(dim, degree).tolist()))
 
 
 @lru_cache(maxsize=None)
-def enumerate_indices(dim: int, max_degree: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices with total degree <= max_degree, in graded order."""
-    _require_dim(dim)
-    out = []
-    for k in range(max_degree + 1):
-        out.extend(indices_of_degree(dim, k))
-    return tuple(out)
+def enumerate_indices(dim: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of `exponent_matrix(dim, max_degree)`, as tuples."""
+    return tuple(map(tuple, exponent_matrix(dim, max_degree).tolist()))
 
 
 @lru_cache(maxsize=None)
-def index_positions(dim: int, max_degree: int) -> dict[MultiIndex, int]:
-    """Dict from multi-index to position, built from the enumeration alone.
-
-    The package computes positions with `rank`; this table stays for
-    check-only code that must not share that formula.
-    """
+def index_positions(dim: int, max_degree: int) -> dict[tuple[int, ...], int]:
+    """Dict from exponent tuple to position, read off the row order, not `rank`."""
     return {a: i for i, a in enumerate(enumerate_indices(dim, max_degree))}
 
 
@@ -156,36 +114,38 @@ def rank(exps) -> np.ndarray:
     return counts[suffix, np.arange(dim, 0, -1)].sum(axis=-1)
 
 
+def _checked(alpha) -> tuple[int, ...]:
+    """The exponents of a multi-index as Python ints.  A bool, a float or a
+    string is refused, not read through int(); numpy integers are accepted."""
+    exps = tuple(alpha)
+    if not exps:
+        raise ValueError("empty space: dimension must be at least 1")
+    for e in exps:
+        if isinstance(e, bool) or not isinstance(e, numbers.Integral):
+            raise ValueError(f"non-integer exponent {e!r} in multi-index {exps!r}")
+    exps = tuple(map(int, exps))
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in multi-index {exps}")
+    return exps
+
+
 def position_of(alpha, max_degree: int) -> int:
-    a = MultiIndex(alpha)
-    if a.degree() > max_degree:
-        raise ValueError(f"multi-index {tuple(a)} exceeds degree {max_degree}")
+    a = _checked(alpha)
+    if sum(a) > max_degree:
+        raise ValueError(f"multi-index {a} exceeds degree {max_degree}")
     return int(rank(a))
-
-
-def multinomial(alpha) -> int:
-    """|alpha|! / prod(alpha_i!), the number of orderings of the multiset."""
-    a = MultiIndex(alpha)
-    out = math.factorial(a.degree())
-    for e in a:
-        out //= math.factorial(e)
-    return out
 
 
 def binom_componentwise(alpha, beta) -> int:
     """prod_i binom(alpha_i + beta_i, alpha_i).
 
     This is the coefficient of x^alpha y^beta in (x + y)^(alpha + beta) and the
-    structure constant of convolution on coefficient extractors.  An argument
-    that is already a MultiIndex is not validated again.
+    structure constant of convolution on coefficient extractors.
     """
-    a, b = (x if isinstance(x, MultiIndex) else MultiIndex(x) for x in (alpha, beta))
+    a, b = _checked(alpha), _checked(beta)
     if len(a) != len(b):
         raise ValueError(f"multi-index dimensions differ: {len(a)} vs {len(b)}")
-    out = 1
-    for x, y in zip(a, b):
-        out *= math.comb(x + y, x)
-    return out
+    return math.prod(math.comb(x + y, x) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +231,23 @@ def convolution_table(dim: int, max_degree: int):
 
 
 @lru_cache(maxsize=None)
-def derivative_table(dim: int, max_degree: int, coord: int):
-    """Gather map for d/dx_coord on a degree-max_degree coefficient table.
+def derivative_table(dim: int, max_degree: int):
+    """Gather maps for every d/dx_i on a degree-max_degree coefficient table.
 
-    Returns (src, factor): the target coefficient at position t (over the
-    degree max_degree - 1 order) is factor[t] * source[src[t]].
+    Returns (src, factor), both of shape (dim, count_indices(dim, max_degree - 1)):
+    the coefficient at position t of d/dx_i, over the degree max_degree - 1
+    order, is factor[i, t] * source[src[i, t]].  Adding e_i raises the suffix
+    sums s_k with k <= i by one, so with alpha the row at t,
+    rank(alpha + e_i) = t + sum_(k <= i) counts[s_k + 1, m - k] - counts[s_k, m - k],
+    a prefix sum over the coordinates.
     """
     _require_dim(dim)
-    if not 0 <= coord < dim:
-        raise ValueError(f"coordinate {coord} out of range for dimension {dim}")
     if max_degree < 1:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-    lower = exponent_matrix(dim, max_degree)[: count_indices(dim, max_degree - 1)]
-    raised = lower.copy()
-    raised[:, coord] += 1
-    return _frozen(rank(raised), (lower[:, coord] + 1).astype(np.float64))
+        return _frozen(np.zeros((dim, 0), dtype=np.int64), np.zeros((dim, 0)))
+    lower = exponent_matrix(dim, max_degree - 1)
+    suffix = _suffix(lower)
+    counts = _counts(max_degree, dim + 1)
+    cols = np.arange(dim, 0, -1)
+    src = np.cumsum(counts[suffix + 1, cols] - counts[suffix, cols], axis=1)
+    src += np.arange(len(lower))[:, None]
+    return _frozen(np.ascontiguousarray(src.T), np.ascontiguousarray(lower.T + 1.0))

@@ -4,7 +4,8 @@ A map f: C^m -> C^n is stored as the dense coefficient table of its Taylor
 expansion at 0, truncated at a total degree D: coeffs[j, p] is the coefficient
 of x^alpha_p in component j, where alpha_p is row p of
 `multiindex.exponent_matrix(m, D)` and p = `multiindex.rank(alpha_p)`.
-Coefficient arrays are immutable.
+Coefficient arrays are immutable.  A partial derivative is one gather through
+the row of `multiindex.derivative_table` for its coordinate.
 
 `TruncatedSeries.from_terms` is the one place where coefficient keys are
 checked: the series and distribution JSON loaders and the term language's
@@ -376,11 +377,13 @@ class TruncatedSeries:
 
     def partial_derivative(self, coord: int) -> "TruncatedSeries":
         """d/dx_coord, one degree lower; the derivative of a degree-0 table is zero."""
+        if not 0 <= coord < self.domain.dim:
+            raise ValueError(f"coordinate {coord} out of range for dimension {self.domain.dim}")
         if self.degree == 0:
             return TruncatedSeries.zero(self.domain.dim, self.codomain.dim, 0)
-        src, factor = mi.derivative_table(self.domain.dim, self.degree, coord)
+        src, factor = mi.derivative_table(self.domain.dim, self.degree)
         return TruncatedSeries(
-            self.domain, self.codomain, self.degree - 1, self.coeffs[:, src] * factor
+            self.domain, self.codomain, self.degree - 1, self.coeffs[:, src[coord]] * factor[coord]
         )
 
     def directional_derivative(self, x, v) -> np.ndarray:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from dillcalc import dsl
+from dillcalc import multiindex as mi
 from dillcalc.cli import main
+from dillcalc.laws import law_names
 from dillcalc.series import TruncatedSeries
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "dsl_examples"
@@ -207,7 +209,7 @@ def test_diff_full_jacobian(tmp_path, capsys):
 def test_check_laws_json(capsys):
     assert main(["check-laws", "--dim", "1", "--deg", "2", "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)
-    assert len(reports) == 40
+    assert [r["name"] for r in reports] == law_names()
     assert all(r["passed"] for r in reports)
     assert {"name", "params", "max_error", "tolerance", "passed", "runtime_ms"} <= set(reports[0])
 
@@ -216,9 +218,10 @@ def test_check_laws_default_table(capsys):
     assert main(["check-laws"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.startswith("PASS") or l.startswith("FAIL")]
-    assert len(lines) == 40
+    count = len(law_names())
+    assert len(lines) == count
     assert all(l.startswith("PASS") for l in lines)
-    assert out.strip().endswith("40/40 laws passed")
+    assert out.strip().endswith(f"{count}/{count} laws passed")
 
 
 def test_check_laws_bad_dim(capsys):
@@ -282,6 +285,45 @@ def test_oversized_tables_are_one_error(tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "exceeds the size budget" in lines[0]
+
+
+def test_oversized_derivative_is_refused_before_its_table(tmp_path, capsys, monkeypatch):
+    # the 20 x 888030 derivative of a dimension-20 degree-8 series is over the
+    # budget; it was once refused only after 10 s of building its index tables
+    def unbuilt(*args):
+        raise AssertionError("derivative table built before the size check")
+
+    monkeypatch.setattr(mi, "derivative_table", unbuilt)
+    literal = tmp_path / "wide.dsl"
+    literal.write_text("(diff (series :dom 20 :cod 1 :deg 8 {}))\n")
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"domain_dim": 20, "codomain_dim": 1, "degree": 8, "coeffs": []}))
+    for argv in (["eval", str(literal)], ["diff", str(wide)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert lines[0].endswith(
+            "a table of 20 x 888030 coefficients (dimension 20, degree 7) "
+            "exceeds the size budget of 4194304"
+        )
+
+
+def test_diff_checks_the_coordinate_at_degree_zero(tmp_path, capsys):
+    # a degree-0 series once gave a zero derivative for any coordinate
+    f = series_file(tmp_path, "c.json", 2, 1, 0, {(0, (0, 0)): 1.0})
+    for coord in ("7", "-1"):
+        assert main(["diff", str(f), "--coord", coord]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: coordinate {coord} out of range for dimension 2\n"
+    literal = tmp_path / "c.dsl"
+    literal.write_text("(diff (series :dom 2 :cod 1 :deg 0 {(0 0) -> 1}) 5)\n")
+    assert main(["eval", str(literal)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coordinate 5 out of range for dimension 2" in captured.err
 
 
 def test_series_json_repeated_entry_rejected(tmp_path, capsys):

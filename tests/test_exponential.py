@@ -221,6 +221,19 @@ def test_distribution_json_header_must_be_integers(header, message):
         xp.Distribution.from_json_dict(dict(header, coeffs=[]))
 
 
+def test_extractor_and_coefficient_refuse_non_integral_exponents():
+    # extractor((1.5, 0), 3) once returned eps_(1,0)
+    d = xp.codereliction(np.array([2.0, -1j]), 3)
+    for alpha in ((1.5, 0), (1.9, 0.2), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            xp.Distribution.extractor(alpha, 3)
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            d.coefficient(alpha)
+    np.testing.assert_array_equal(
+        xp.Distribution.extractor((np.int64(1), 0), 3).coeffs, xp.Distribution.extractor((1, 0), 3).coeffs
+    )
+
+
 def test_codereliction_is_first_extractor():
     v = np.array([2.0, -1j])
     d = xp.codereliction(v, 3)
@@ -309,7 +322,7 @@ def test_comultiplication_on_unit_extractor():
     pos = mi.index_positions(n1, 3)
     want = np.zeros(mi.count_indices(n1, 3), dtype=complex)
     for k in range(4):
-        key = mi.MultiIndex((k,) + (0,) * (n1 - 1))
+        key = (k,) + (0,) * (n1 - 1)
         want[pos[key]] = 1.0
     np.testing.assert_array_equal(out.coeffs, want)
 
@@ -330,7 +343,7 @@ def test_contraction_on_dirac_splits():
     full = np.kron(d.coeffs, d.coeffs)
     for i, a in enumerate(idx):
         for j, b in enumerate(idx):
-            if a.degree() + b.degree() <= degree:
+            if sum(a) + sum(b) <= degree:
                 assert out[i * n + j] == pytest.approx(full[i * n + j], abs=1e-12)
 
 

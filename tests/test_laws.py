@@ -15,7 +15,6 @@ from dillcalc.series import TruncatedSeries
 
 EXPECTED_LAWS = [
     "multiindex-count",
-    "multiindex-multinomial-factorial",
     "multiindex-binom-symmetry",
     "series-homogeneous-reconstruction",
     "series-homogeneity-scaling",
@@ -185,6 +184,16 @@ def _shift_last_rank(original):
     return crooked
 
 
+def _move_one_derivative_source(original):
+    def crooked(dim, degree):
+        src, factor = original(dim, degree)
+        src = src.copy()
+        src[-1, src.shape[1] // 2] = 0
+        return src, factor
+
+    return crooked
+
+
 def _bump_one_nabla_entry(original):
     def crooked(dim, degree):
         op = original(dim, degree)
@@ -201,8 +210,9 @@ def _bump_one_nabla_entry(original):
         (mi, "convolution_table", _bump_one_weight, "multiindex-binom-symmetry"),
         (mi, "rank", _shift_last_rank, "multiindex-count"),
         (xp, "cocontraction", _bump_one_nabla_entry, "bialgebra-cocontraction-laws"),
+        (mi, "derivative_table", _move_one_derivative_source, "series-directional-finite-difference"),
     ],
-    ids=["convolution-weight", "rank", "nabla-entry"],
+    ids=["convolution-weight", "rank", "nabla-entry", "derivative-source"],
 )
 def test_corrupted_index_kernel_is_caught(monkeypatch, module, kernel, corrupt, law):
     # the restated checks read the shipped kernels, so one wrong entry shows

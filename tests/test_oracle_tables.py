@@ -60,12 +60,13 @@ def test_product_and_convolution_tables(dim, deg):
 @pytest.mark.parametrize("dim,deg", CASES)
 def test_derivative_table(dim, deg):
     pos = graded_positions(dim, deg)
+    src, factor = mi.derivative_table(dim, deg)
+    assert src.shape == factor.shape == (dim, mi.count_indices(dim, deg - 1) if deg else 0)
     for coord in range(dim):
         unit = tuple(int(i == coord) for i in range(dim))
         lower = graded_order(dim, deg - 1) if deg else []
-        src, factor = mi.derivative_table(dim, deg, coord)
-        np.testing.assert_array_equal(src, [pos[add(a, unit)] for a in lower])
-        np.testing.assert_array_equal(factor, [a[coord] + 1 for a in lower])
+        np.testing.assert_array_equal(src[coord], [pos[add(a, unit)] for a in lower])
+        np.testing.assert_array_equal(factor[coord], [a[coord] + 1 for a in lower])
 
 
 @pytest.mark.parametrize("dim,deg", CASES)

@@ -278,6 +278,24 @@ def test_partial_derivative_matches_brute(data):
         assert max_mismatch(d, want) < 1e-9
 
 
+def test_partial_derivative_checks_the_coordinate_at_every_degree():
+    # at degree 0 a bad coordinate once returned a zero series
+    for degree in (0, 1, 3):
+        f = TruncatedSeries.from_terms(2, 1, degree, {(0, (0, 0)): 1.0})
+        for coord in (2, 7, -1):
+            with pytest.raises(ValueError, match=f"coordinate {coord} out of range for dimension 2"):
+                f.partial_derivative(coord)
+
+
+def test_coefficient_refuses_non_integral_exponents():
+    # (1.9, 0.2) was once read through int() as (1, 0)
+    f = TruncatedSeries.from_terms(2, 1, 3, {(0, (1, 0)): 2.0})
+    for alpha in ((1.9, 0.2), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            f.coefficient(0, alpha)
+    assert f.coefficient(0, (np.int64(1), np.int32(0))) == 2.0
+
+
 def test_directional_derivative_linear_in_direction():
     f = TruncatedSeries.from_terms(2, 1, 3, {(0, (2, 1)): 1.0})
     x = np.array([0.3, -0.2 + 0.1j])
