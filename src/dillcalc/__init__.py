@@ -46,7 +46,7 @@ from .exponential import (
     weakening,
 )
 
-# The law harness, with its registry of 39 laws, is imported on first use of
+# The law harness, with its registry of 38 laws, is imported on first use of
 # one of its names, so `import dillcalc` and the other subcommands do not pay
 # for it.
 _LAW_NAMES = ("LawConfig", "LawReport", "law_names", "run_law", "run_suite")

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import multiindex as mi
 from .series import (
-    FiniteSpace, TruncatedSeries, _check_degree, _check_size, _json_int, _json_terms,
-    _monomials_at,
+    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _json_int,
+    _json_terms, _monomials_at,
 )
 
 DIGGING_DIM_BOUND = 5000
@@ -82,6 +82,7 @@ class Distribution:
         return cls(len(alpha), degree, arr)
 
     def coefficient(self, alpha) -> complex:
+        _check_index_dim(alpha, self.dim)
         return complex(self.coeffs[mi.position_of(alpha, self.degree)])
 
     def apply(self, f: TruncatedSeries) -> np.ndarray:

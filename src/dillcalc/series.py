@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -75,6 +76,11 @@ def _check_size(dom_dim: int, cod_dim: int, degree: int) -> int:
             f"degree {degree}) exceeds the size budget of {SIZE_BUDGET}"
         )
     return n_idx
+
+
+def _check_index_dim(alpha, dim: int) -> None:
+    if len(alpha) != dim:
+        raise ValueError(f"multi-index {tuple(alpha)} has dimension {len(alpha)}, expected {dim}")
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,12 @@ class TruncatedSeries:
         degree = _check_degree(degree)
         n_idx = _check_size(dom_dim, cod_dim, degree)
         for j, alpha in terms:
-            if len(alpha) != dom_dim:
-                raise ValueError(
-                    f"multi-index {tuple(alpha)} has dimension {len(alpha)}, expected {dom_dim}"
-                )
+            _check_index_dim(alpha, dom_dim)
             if not 0 <= j < cod_dim:
                 raise ValueError(f"output component {j} out of range")
         alphas = [alpha for _, alpha in terms]
+        if not set(map(type, chain.from_iterable(alphas))) <= {int}:
+            alphas = [mi._checked(alpha) for alpha in alphas]  # refuses bool and float exponents
         # Python ints compare exactly, so an exponent past int64 is over-degree
         exps = np.array(alphas, dtype=object).reshape(len(alphas), dom_dim)
         negative = (exps < 0).any(axis=1)
@@ -256,6 +261,7 @@ class TruncatedSeries:
     # -- queries -------------------------------------------------------------
 
     def coefficient(self, out: int, alpha) -> complex:
+        _check_index_dim(alpha, self.domain.dim)
         return complex(self.coeffs[out, mi.position_of(alpha, self.degree)])
 
     def constant_term(self) -> np.ndarray:
@@ -381,6 +387,7 @@ class TruncatedSeries:
             raise ValueError(f"coordinate {coord} out of range for dimension {self.domain.dim}")
         if self.degree == 0:
             return TruncatedSeries.zero(self.domain.dim, self.codomain.dim, 0)
+        _check_size(self.domain.dim, self.domain.dim, self.degree - 1)  # the derivative table
         src, factor = mi.derivative_table(self.domain.dim, self.degree)
         return TruncatedSeries(
             self.domain, self.codomain, self.degree - 1, self.coeffs[:, src[coord]] * factor[coord]

@@ -296,9 +296,17 @@ def test_oversized_derivative_is_refused_before_its_table(tmp_path, capsys, monk
     monkeypatch.setattr(mi, "derivative_table", unbuilt)
     literal = tmp_path / "wide.dsl"
     literal.write_text("(diff (series :dom 20 :cod 1 :deg 8 {}))\n")
+    one_coord = tmp_path / "one_coord.dsl"
+    one_coord.write_text("(diff (series :dom 20 :cod 1 :deg 8 {}) 0)\n")
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"domain_dim": 20, "codomain_dim": 1, "degree": 8, "coeffs": []}))
-    for argv in (["eval", str(literal)], ["diff", str(wide)]):
+    for argv in (
+        ["eval", str(literal)],
+        ["diff", str(wide)],
+        # one coordinate's derivative reads the table of every coordinate
+        ["eval", str(one_coord)],
+        ["diff", str(wide), "--coord", "0"],
+    ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -234,6 +234,14 @@ def test_extractor_and_coefficient_refuse_non_integral_exponents():
     )
 
 
+def test_coefficient_refuses_a_multi_index_of_the_wrong_length():
+    # (0, 0, 1) on a dimension-2 distribution once read position 2, eps_(0,1)
+    d = xp.codereliction(np.array([2.0, -1j]), 3)
+    for alpha in ((0, 0, 1), (1,)):
+        with pytest.raises(ValueError, match=rf"has dimension {len(alpha)}, expected 2"):
+            d.coefficient(alpha)
+
+
 def test_codereliction_is_first_extractor():
     v = np.array([2.0, -1j])
     d = xp.codereliction(v, 3)

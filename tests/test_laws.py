@@ -7,11 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dillcalc import calculus as ca
-from dillcalc import exponential as xp
 from dillcalc import laws
-from dillcalc import multiindex as mi
-from dillcalc.series import TruncatedSeries
 
 EXPECTED_LAWS = [
     "multiindex-count",
@@ -52,7 +48,6 @@ EXPECTED_LAWS = [
     "bang-functoriality",
     "adjunction-roundtrip",
     "adjunction-extractor-expansion",
-    "adjunction-naturality",
 ]
 
 
@@ -88,160 +83,12 @@ def test_seed_change_keeps_verdicts():
     assert all(base.values())
 
 
-def test_corrupted_compose_is_caught(monkeypatch):
-    original = ca.compose
-
-    def crooked(f, g, outer_polynomial=False):
-        h = original(f, g, outer_polynomial=outer_polynomial)
-        bad = np.array(h.coeffs)
-        bad[0, -1] += 1e-3
-        return type(h).from_arrays(h.domain.dim, h.codomain.dim, h.degree, bad)
-
-    monkeypatch.setattr(ca, "compose", crooked)
-    report = laws.run_law("compose-associativity", laws.LawConfig())
-    assert not report.passed
-    assert report.max_error > report.tolerance
-    monkeypatch.undo()
-    assert laws.run_law("compose-associativity", laws.LawConfig()).passed
-
-
 STRUCTURE_LAWS = [
     "bialgebra-contraction-laws",
     "bialgebra-cocontraction-laws",
     "bialgebra-compatibility",
     "monoidality-bijection",
 ]
-
-
-def _extra_one(mat):
-    mat[0, -1] = 1.0
-
-
-def _bump_largest_weight(mat):
-    mat[np.unravel_index(np.argmax(mat.real), mat.shape)] += 1.0
-
-
-def _extra_one_on_unit(mat):
-    # column 1 is the unit extractor eps_(e_0), which codereliction reaches
-    mat[0, 1] = 1.0
-
-
-@pytest.mark.parametrize(
-    "operator, corrupt, caught_by",
-    [
-        ("contraction", _extra_one, ["bialgebra-contraction-laws", "bialgebra-compatibility"]),
-        (
-            "cocontraction",
-            _bump_largest_weight,
-            ["bialgebra-cocontraction-laws", "bialgebra-compatibility"],
-        ),
-        ("monoidal_product", _extra_one, ["monoidality-bijection"]),
-        ("bang_map", _extra_one, ["bang-functoriality", "adjunction-naturality"]),
-        (
-            "comultiplication",
-            _extra_one_on_unit,
-            ["comonad-counit-laws", "codereliction-digging"],
-        ),
-    ],
-    ids=["contraction", "cocontraction", "monoidal_product", "bang_map", "comultiplication"],
-)
-def test_corrupted_structure_map_is_caught(monkeypatch, operator, corrupt, caught_by):
-    original = getattr(xp, operator)
-
-    def crooked(*args):
-        op = original(*args)
-        mat = np.array(op.matrix)
-        corrupt(mat)
-        return xp.LinearOperator(op.source, op.target, mat)
-
-    monkeypatch.setattr(xp, operator, crooked)
-    cfg = laws.LawConfig(dim=2, degree=3)
-    for name in caught_by:
-        report = laws.run_law(name, cfg)
-        assert not report.passed, name
-        assert report.max_error > report.tolerance
-    monkeypatch.undo()
-    rerun = sorted(set(STRUCTURE_LAWS) | set(caught_by))
-    assert all(r.passed for r in laws.run_suite(cfg, rerun))
-
-
-def _bump_one_weight(original):
-    def crooked(dim, degree):
-        ia, ib, ic, w = original(dim, degree)
-        w = w.copy()
-        w[w.size // 2] += 1.0
-        return ia, ib, ic, w
-
-    return crooked
-
-
-def _shift_last_rank(original):
-    def crooked(exps):
-        ranks = np.array(original(exps))
-        ranks.reshape(-1)[-1:] += 1
-        return ranks
-
-    return crooked
-
-
-def _move_one_derivative_source(original):
-    def crooked(dim, degree):
-        src, factor = original(dim, degree)
-        src = src.copy()
-        src[-1, src.shape[1] // 2] = 0
-        return src, factor
-
-    return crooked
-
-
-def _bump_one_nabla_entry(original):
-    def crooked(dim, degree):
-        op = original(dim, degree)
-        rows, cols, vals = (np.array(a) for a in op.entries())
-        vals[vals.size // 2] += 1.0
-        return xp.LinearOperator.from_entries(op.source, op.target, rows, cols, vals)
-
-    return crooked
-
-
-@pytest.mark.parametrize(
-    "module, kernel, corrupt, law",
-    [
-        (mi, "convolution_table", _bump_one_weight, "multiindex-binom-symmetry"),
-        (mi, "rank", _shift_last_rank, "multiindex-count"),
-        (xp, "cocontraction", _bump_one_nabla_entry, "bialgebra-cocontraction-laws"),
-        (mi, "derivative_table", _move_one_derivative_source, "series-directional-finite-difference"),
-    ],
-    ids=["convolution-weight", "rank", "nabla-entry", "derivative-source"],
-)
-def test_corrupted_index_kernel_is_caught(monkeypatch, module, kernel, corrupt, law):
-    # the restated checks read the shipped kernels, so one wrong entry shows
-    cfg = laws.LawConfig(dim=2, degree=3)
-    monkeypatch.setattr(module, kernel, corrupt(getattr(module, kernel)))
-    report = laws.run_law(law, cfg)
-    assert not report.passed
-    assert report.max_error > report.tolerance
-    monkeypatch.undo()
-    assert laws.run_law(law, cfg).passed
-
-
-def test_corrupted_power_table_is_caught(monkeypatch):
-    # compose and bang_map multiply by the power table; compose_naive never
-    # reads it
-    original = TruncatedSeries.power_table
-
-    def crooked(self, max_exponent):
-        table = original(self, max_exponent)
-        table[-1, -1] += 1e-3
-        return table
-
-    names = ["compose-matches-naive", "adjunction-naturality"]
-    monkeypatch.setattr(TruncatedSeries, "power_table", crooked)
-    for report in laws.run_suite(laws.LawConfig(), names):
-        assert not report.passed, report.name
-        assert report.max_error > report.tolerance
-    monkeypatch.undo()
-    assert all(r.passed for r in laws.run_suite(laws.LawConfig(), names))
 
 
 def test_structure_laws_exact_at_largest_config():

@@ -296,6 +296,25 @@ def test_coefficient_refuses_non_integral_exponents():
     assert f.coefficient(0, (np.int64(1), np.int32(0))) == 2.0
 
 
+def test_coefficient_refuses_a_multi_index_of_the_wrong_length():
+    # (1,) and (1, 0, 0) were once both read as (1, 0)
+    f = TruncatedSeries.from_terms(2, 1, 3, {(0, (1, 0)): 5.0})
+    for alpha in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=f"has dimension {len(alpha)}, expected 2"):
+            f.coefficient(0, alpha)
+
+
+def test_from_terms_refuses_non_integral_exponent_keys():
+    # (1.5, 0) and (True, 1) were once stored at (1, 0) and (1, 1)
+    for alpha in ((1.5, 0), (True, 1), (np.float64(2.0), 0)):
+        with pytest.raises(ValueError, match=r"non-integer exponent .* in multi-index"):
+            TruncatedSeries.from_terms(2, 1, 3, {(0, (1, 0)): 1.0, (0, alpha): 2.0})
+    f = TruncatedSeries.from_terms(2, 1, 3, {(0, (np.int64(1), np.int32(1))): 2.0})
+    assert f.coefficient(0, (1, 1)) == 2.0
+    with pytest.raises(ValueError, match=f"multi-index \\({2**64}, 0\\) exceeds degree 3"):
+        TruncatedSeries.from_terms(2, 1, 3, {(0, (2**64, 0)): 1.0})
+
+
 def test_directional_derivative_linear_in_direction():
     f = TruncatedSeries.from_terms(2, 1, 3, {(0, (2, 1)): 1.0})
     x = np.array([0.3, -0.2 + 0.1j])
