@@ -2,13 +2,7 @@
 of coefficient extractors, a law-checking harness and a small term language."""
 
 from .multiindex import binom_componentwise, count_indices, position_of
-from .series import (
-    DEGREE_CAP_ENV,
-    FiniteSpace,
-    TruncatedSeries,
-    coefficient_distance,
-    max_degree_cap,
-)
+from .series import MAX_DEGREE, FiniteSpace, TruncatedSeries, coefficient_distance
 from .multilinear import SymmetricMultilinear, from_monomial, polarize
 from .calculus import (
     CurriedSeries,
@@ -66,11 +60,10 @@ __all__ = [
     "binom_componentwise",
     "count_indices",
     "position_of",
-    "DEGREE_CAP_ENV",
+    "MAX_DEGREE",
     "FiniteSpace",
     "TruncatedSeries",
     "coefficient_distance",
-    "max_degree_cap",
     "SymmetricMultilinear",
     "from_monomial",
     "polarize",

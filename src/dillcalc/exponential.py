@@ -38,8 +38,6 @@ from .series import (
     _json_terms, _monomials_at,
 )
 
-DIGGING_DIM_BOUND = 5000
-
 
 # ---------------------------------------------------------------------------
 # distributions
@@ -480,16 +478,13 @@ def comultiplication(dim: int, degree: int) -> LinearOperator:
     The coefficient of delta_(delta_x) at the outer index A is
     prod_j (x^alpha_j)^(A_j) = x^(sum_j A_j alpha_j), so the matrix has a 1
     placing each outer index A at the inner index sum_j A_j alpha_j, and rows
-    whose inner index overflows the inner degree stay zero.
+    whose inner index overflows the inner degree stay zero.  The outer
+    exponent table, n_outer x n_inner, is the largest allocation, and it is
+    checked against the size budget first.
     """
     degree = _check_degree(degree)
     n_inner = mi.count_indices(dim, degree)
-    n_outer = mi.count_indices(n_inner, degree)
-    if n_outer > DIGGING_DIM_BOUND:
-        raise ValueError(
-            f"digging target dimension {n_outer} exceeds the bound {DIGGING_DIM_BOUND} "
-            f"(dimension {dim}, degree {degree})"
-        )
+    _check_size(n_inner, n_inner, degree)
     inner_exps = mi.exponent_matrix(dim, degree)  # (n_inner, dim)
     outer_exps = mi.exponent_matrix(n_inner, degree)  # (n_outer, n_inner)
     images = outer_exps @ inner_exps  # row r: the inner multi-index hit by row r

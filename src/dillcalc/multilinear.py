@@ -18,7 +18,6 @@ import numpy as np
 from . import multiindex as mi
 from .series import FiniteSpace, TruncatedSeries
 
-POLARIZE_MAX_ARITY = 8
 _POLARIZE_POINTS = 1024  # points `polarize` evaluates per batch of tuples
 
 
@@ -106,6 +105,10 @@ class SymmetricMultilinear:
 
 
 def _homogeneous_arity(f: TruncatedSeries, arity: int | None) -> int:
+    """The degree of the one homogeneous part of f, or the given arity.  An
+    arity above f's degree is refused, so no arity exceeds MAX_DEGREE."""
+    if arity is not None and arity > f.degree:
+        raise ValueError(f"arity {arity} exceeds the series degree {f.degree}")
     degs = mi.degree_vector(f.domain.dim, f.degree)
     nonzero = np.any(f.coeffs != 0, axis=0)
     present = set(degs[nonzero].tolist())
@@ -130,8 +133,6 @@ def from_monomial(f: TruncatedSeries, arity: int | None = None) -> SymmetricMult
     restriction returns the monomial coefficients.
     """
     k = _homogeneous_arity(f, arity)
-    if k > f.degree:
-        raise ValueError(f"arity {k} exceeds the series degree {f.degree}")
     m = f.domain.dim
     # sorted_tuples(m, k) lists multiplicity vectors in the order of the
     # degree-k block, so the block is read in place
@@ -148,14 +149,11 @@ def polarize(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultiline
 
     f~(x_1,...,x_k) = (1/k!) sum over eps in {0,1}^k of
     (-1)^(k - |eps|) f(eps_1 x_1 + ... + eps_k x_k).  Costs 2^k evaluations per
-    stored tuple, so the arity is capped at POLARIZE_MAX_ARITY.  This is the
-    independent route against which `from_monomial` is checked.
+    stored tuple; the arity is at most the series degree, so at most
+    `series.MAX_DEGREE`.  This is the independent route against which
+    `from_monomial` is checked.
     """
     k = _homogeneous_arity(f, arity)
-    if k > POLARIZE_MAX_ARITY:
-        raise ValueError(
-            f"polarization arity {k} exceeds the supported bound {POLARIZE_MAX_ARITY}"
-        )
     m = f.domain.dim
     tuples = sorted_tuples(m, k)
     tuples = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)

@@ -11,18 +11,19 @@ the row of `multiindex.derivative_table` for its coordinate.
 checked: the series and distribution JSON loaders and the term language's
 coefficient maps all build through it.
 
-The environment variable DILL_SERIES_MAX_DEGREE (default 8) caps truncation
-degrees globally; constructors reject anything larger.  A coefficient table
-may hold at most SIZE_BUDGET entries, codomain dimension times
-`count_indices`; the constructors check that before they allocate, so an
-oversized request fails at once instead of exhausting memory.
+Truncation degrees are capped at MAX_DEGREE, a constant: up to that degree
+the weights of `multiindex.convolution_table`, read from an int64 Pascal
+table, are exact, and far above it they wrap.  Every other size is decided
+by SIZE_BUDGET: a coefficient table may hold at most that many entries,
+codomain dimension times `count_indices`, and the constructors check that
+before they allocate, so an oversized request fails at once instead of
+exhausting memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,8 +31,7 @@ import numpy as np
 
 from . import multiindex as mi
 
-DEGREE_CAP_ENV = "DILL_SERIES_MAX_DEGREE"
-_DEGREE_CAP_DEFAULT = 8
+MAX_DEGREE = 8
 # entries of one coefficient table: 64 MiB of complex128
 SIZE_BUDGET = 2**22
 # coordinate powers gathered per block of points in `evaluate_many`: 64 KiB,
@@ -39,29 +39,14 @@ SIZE_BUDGET = 2**22
 _POINT_BLOCK = 2**12
 
 
-def max_degree_cap() -> int:
-    raw = os.environ.get(DEGREE_CAP_ENV, "")
-    if not raw:
-        return _DEGREE_CAP_DEFAULT
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError(f"{DEGREE_CAP_ENV} must be nonnegative, got {cap}")
-    return cap
-
-
 def _check_degree(degree: int) -> int:
+    if not mi._is_integer(degree):
+        raise ValueError(f"truncation degree must be an integer, got {degree!r}")
     degree = int(degree)
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    cap = max_degree_cap()
-    if degree > cap:
-        raise ValueError(
-            f"truncation degree {degree} exceeds the global cap {cap} "
-            f"(set {DEGREE_CAP_ENV} to raise it)"
-        )
+    if degree > MAX_DEGREE:
+        raise ValueError(f"truncation degree {degree} exceeds the global cap {MAX_DEGREE}")
     return degree
 
 

@@ -53,15 +53,20 @@ def test_eval_reads_stdin():
     assert json.loads(proc.stdout)["values"] == [[3.0, 0.0]]
 
 
-def test_degree_cap_env_is_honored():
-    proc = run_cli(
-        "eval",
-        "-",
-        stdin="(series :dom 1 :cod 1 :deg 3 {(1) -> 1})",
-        env_extra={"DILL_SERIES_MAX_DEGREE": "2"},
-    )
-    assert proc.returncode == 1
-    assert "DILL_SERIES_MAX_DEGREE" in proc.stderr
+def test_degree_cap_is_fixed():
+    # the cap is a constant: the variable that once raised it is ignored
+    for env_extra in (None, {"DILL_SERIES_MAX_DEGREE": "12"}):
+        proc = run_cli(
+            "eval",
+            "-",
+            stdin="(series :dom 1 :cod 1 :deg 9 {(1) -> 1.0})",
+            env_extra=env_extra,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: line 1, col 1: truncation degree 9 exceeds the global cap 8"
+        ]
 
 
 def test_check_laws_subset_subprocess():

@@ -9,7 +9,7 @@ import pytest
 from dillcalc import exponential as xp
 from dillcalc import laws
 from dillcalc import multiindex as mi
-from dillcalc.series import TruncatedSeries
+from dillcalc.series import MAX_DEGREE, SIZE_BUDGET, TruncatedSeries
 from test_laws import STRUCTURE_LAWS
 
 
@@ -195,8 +195,7 @@ def test_series_and_distribution_json_share_one_key_rule(entry, message):
         # the 67 GiB coefficient vector was once allocated before the cap was checked
         (
             {"dim": 3, "degree": 3000, "coeffs": []},
-            "truncation degree 3000 exceeds the global cap 8 "
-            "(set DILL_SERIES_MAX_DEGREE to raise it)",
+            f"truncation degree 3000 exceeds the global cap {MAX_DEGREE}",
         ),
     ],
     ids=["out-not-zero", "degree-over-cap"],
@@ -336,8 +335,12 @@ def test_comultiplication_on_unit_extractor():
 
 
 def test_comultiplication_size_gate():
-    with pytest.raises(ValueError, match=str(xp.DIGGING_DIM_BOUND)):
-        xp.comultiplication(2, 5)
+    # the outer exponent table has n_inner x n_outer entries: 21 x 65 780 at
+    # (2,5) fits the size budget, 28 x 1 344 904 at (2,6) does not
+    with pytest.raises(ValueError, match=f"28 x 1344904 .* size budget of {SIZE_BUDGET}"):
+        xp.comultiplication(2, 6)
+    rho = xp.comultiplication(2, 5)
+    assert (rho.source.size, rho.target.size) == (21, 65780)
 
 
 def test_contraction_on_dirac_splits():
@@ -562,7 +565,7 @@ def _entry_built_maps():
             for dim_f in (1, 2, 3):
                 cases.append(functools.partial(xp.monoidal_product, dim, dim_f, deg))
                 cases.append(functools.partial(xp.monoidal_product_inverse, dim, dim_f, deg))
-            if mi.count_indices(mi.count_indices(dim, deg), deg) <= xp.DIGGING_DIM_BOUND:
+            if mi.count_indices(mi.count_indices(dim, deg), deg) <= laws._LEVEL_TWO_LAW_SIZE:
                 cases.append(functools.partial(xp.comultiplication, dim, deg))
     bases = [xp.VectorBasis(1), xp.VectorBasis(3), xp.DistBasis(2, 2), xp.DistBasis(1, 3)]
     for left in bases:

@@ -113,6 +113,12 @@ def test_config_validation():
         laws.LawConfig(degree=0)
     with pytest.raises(ValueError, match="degree"):
         laws.LawConfig(degree=7)
+    for bad in (True, 2.0, "2"):
+        # int() would read each of these
+        with pytest.raises(ValueError, match=f"dimension must be an integer .*, got {bad!r}"):
+            laws.LawConfig(dim=bad)
+        with pytest.raises(ValueError, match=f"degree must be an integer .*, got {bad!r}"):
+            laws.LawConfig(degree=bad)
     for seed in (-1, 1.5, "7", True):
         # random.Random seeds -1 and 1 alike, so the config refuses -1 itself
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
@@ -156,7 +162,6 @@ def test_expensive_laws_report_capped_params():
 
 
 def test_digging_cap_respects_bound():
-    from dillcalc import exponential as xp
     from dillcalc import multiindex as mi
 
     for dim in (1, 2, 3):
@@ -164,7 +169,7 @@ def test_digging_cap_respects_bound():
             d, k = laws._digging_cap(dim, degree)
             assert d <= 2 and k <= degree
             n1 = mi.count_indices(d, k)
-            assert mi.count_indices(n1, k) <= xp.DIGGING_DIM_BOUND
+            assert mi.count_indices(n1, k) <= laws._LEVEL_TWO_LAW_SIZE
 
 
 def test_random_series_constant_flag():

@@ -1,9 +1,9 @@
 """Package code reads exponent rows and `rank`.  Only the multi-index module
 itself calls the tuple views of the enumeration; the check-only routes walk
 exponent rows too.  The join of (row, col, value) triples lives in
-`LinearOperator` alone.  Importing the package and its CLI loads neither the
-law harness nor the term language, and the law harness never loads
-numpy.random."""
+`LinearOperator` alone.  No module reads the environment.  Importing the
+package and its CLI loads neither the law harness nor the term language, and
+the law harness never loads numpy.random."""
 
 import ast
 import os
@@ -77,6 +77,40 @@ def test_only_the_operator_module_joins_triples():
     ]
     assert offenders == []
     assert guarded_calls(SRC / "exponential.py", {"searchsorted"})
+
+
+def environment_reads(path):
+    """Line numbers in a file of every `os.environ` and `os.getenv`, and of
+    every import of either name from `os`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    # sizes are fixed by constants and the size budget, not by environment knobs
+    offenders = [
+        f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line in environment_reads(path)
+    ]
+    assert offenders == []
+
+
+def test_the_environment_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "import os\n"
+        "from os import environ\n"
+        "CAP = os.environ.get('CAP', '8')\n"
+        "def cap():\n"
+        "    return os.getenv('CAP') or os.environ['CAP']\n"
+    )
+    assert environment_reads(snippet) == [2, 3, 5, 5]
 
 
 def _run_probe(probe):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dillcalc import multiindex as mi
+from dillcalc.series import MAX_DEGREE
 
 from brute import iter_indices
 
@@ -122,11 +123,16 @@ def test_product_table_complete_and_consistent():
 
 
 def test_convolution_table_weights():
-    dim, deg = 2, 2
-    ia, ib, ic, w = mi.convolution_table(dim, deg)
-    idx = mi.enumerate_indices(dim, deg)
-    for k in range(len(ia)):
-        assert w[k] == mi.binom_componentwise(idx[ia[k]], idx[ib[k]])
+    # the weights come from an int64 Pascal table: exact up to the degree cap,
+    # wrapped far above it, which is why the cap is a constant
+    for dim, deg in [(2, 2), (1, MAX_DEGREE), (2, MAX_DEGREE), (3, MAX_DEGREE)]:
+        ia, ib, _, w = mi.convolution_table(dim, deg)
+        rows = mi.exponent_matrix(dim, deg).tolist()
+        want = [
+            math.prod(math.comb(x + y, x) for x, y in zip(rows[a], rows[b]))
+            for a, b in zip(ia.tolist(), ib.tolist())
+        ]
+        assert w.tolist() == want
 
 
 def test_pair_tables_build_without_pair_sized_temporaries():

@@ -111,11 +111,12 @@ def test_mixed_degrees_rejected():
         ml.from_monomial(TruncatedSeries.zero(1, 1, 3))
 
 
-def test_arity_cap(monkeypatch):
-    monkeypatch.setenv("DILL_SERIES_MAX_DEGREE", "12")
-    f = TruncatedSeries.from_terms(1, 1, 9, {(0, (9,)): 1.0})
-    with pytest.raises(ValueError, match=str(ml.POLARIZE_MAX_ARITY)):
-        ml.polarize(f, 9)
+def test_arity_cap():
+    # both routes bound the arity by the series degree, so by MAX_DEGREE
+    for route in (ml.from_monomial, ml.polarize):
+        with pytest.raises(ValueError, match="arity 5 exceeds the series degree 3"):
+            route(TruncatedSeries.zero(1, 1, 3), 5)
+        assert route(TruncatedSeries.zero(1, 1, 3), 3).arity == 3
 
 
 def test_apply_validation():

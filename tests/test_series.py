@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ from dillcalc import exponential as xp
 from dillcalc import multiindex as mi
 from dillcalc import series
 from dillcalc.series import (
-    DEGREE_CAP_ENV,
     SIZE_BUDGET,
     FiniteSpace,
     TruncatedSeries,
     _monomials_at,
     coefficient_distance,
-    max_degree_cap,
 )
 
 from brute import (
@@ -354,16 +353,15 @@ def test_component():
         f.component(2)
 
 
-def test_degree_cap_env(monkeypatch):
-    monkeypatch.setenv(DEGREE_CAP_ENV, "3")
-    assert max_degree_cap() == 3
-    with pytest.raises(ValueError, match=DEGREE_CAP_ENV):
-        TruncatedSeries.zero(1, 1, 4)
-    monkeypatch.setenv(DEGREE_CAP_ENV, "12")
-    assert TruncatedSeries.zero(1, 1, 10).degree == 10
-    monkeypatch.setenv(DEGREE_CAP_ENV, "banana")
-    with pytest.raises(ValueError, match="banana"):
-        max_degree_cap()
+@pytest.mark.parametrize("degree", [2.7, True, "2", 2.0])
+def test_degree_must_be_an_integer(degree):
+    # int() would read each of these as a degree
+    message = f"truncation degree must be an integer, got {degree!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TruncatedSeries.zero(1, 1, degree)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        xp.dirac([1.0], degree)
+    assert TruncatedSeries.zero(1, 1, np.int64(2)).degree == 2
 
 
 @settings(max_examples=50, deadline=None)
