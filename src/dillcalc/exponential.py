@@ -49,8 +49,7 @@ class Distribution:
     __slots__ = ("dim", "degree", "coeffs")
 
     def __init__(self, dim: int, degree: int, coeffs):
-        if dim < 1:
-            raise ValueError("empty space: dimension must be at least 1")
+        mi._require_dim(dim)
         degree = _check_degree(degree)
         n_idx = _check_size(dim, 1, degree)
         arr = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
@@ -189,7 +188,7 @@ def codereliction(v, degree: int) -> Distribution:
     if degree < 1:
         raise ValueError("codereliction needs degree at least 1")
     arr = np.zeros(_check_size(v.size, 1, degree), dtype=np.complex128)
-    arr[1 : 1 + v.size] = v  # positions 1..m are the unit indices e_1..e_m
+    arr[mi.degree_slice(v.size, 1)] = v  # the unit indices e_1..e_m
     return Distribution(v.size, degree, arr)
 
 
@@ -466,9 +465,9 @@ def counit(dim: int, degree: int) -> LinearOperator:
     """Dereliction !E -> E: keeps the unit extractors, so delta_x goes to x."""
     degree = _check_degree(degree)
     units = np.arange(dim if degree >= 1 else 0)
-    # position 1 + i holds the unit index e_i
+    first = mi.degree_slice(dim, 1).start  # the unit indices e_1..e_m
     return LinearOperator.from_entries(
-        DistBasis(dim, degree), VectorBasis(dim), units, 1 + units, np.ones(units.size)
+        DistBasis(dim, degree), VectorBasis(dim), units, first + units, np.ones(units.size)
     )
 
 
@@ -597,6 +596,7 @@ def bang_map(f: TruncatedSeries, degree: int) -> LinearOperator:
             f"series degree {f.degree} below the promotion degree {degree}"
         )
     f = f.truncate(degree)
+    _check_size(f.domain.dim, mi.count_indices(f.codomain.dim, degree), degree)  # the power table
     return LinearOperator(
         DistBasis(f.domain.dim, degree), DistBasis(f.codomain.dim, degree), f.power_table(degree)
     )
@@ -612,7 +612,7 @@ def bang_linear(matrix, degree: int) -> LinearOperator:
     n, m = arr.shape
     coeffs = np.zeros((n, mi.count_indices(m, _check_degree(degree))), dtype=np.complex128)
     if degree >= 1:
-        coeffs[:, 1 : 1 + m] = arr  # positions 1..m are the unit indices e_1..e_m
+        coeffs[:, mi.degree_slice(m, 1)] = arr  # the unit indices e_1..e_m
     return bang_map(TruncatedSeries.from_arrays(m, n, degree, coeffs), degree)
 
 

@@ -18,6 +18,10 @@ API (`position_of`, `binom_componentwise`) takes any sequence of integers and
 checks it with `_checked`.  `indices_of_degree`, `enumerate_indices` and
 `index_positions` are plain-tuple views of the exponent rows that no package
 code calls; the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
+The other modules ask this one for the dimension rule (`_require_dim`) and the
+degree blocks: `degree_slice` gives their positions (the degree-1 block holds
+the unit indices e_1..e_m) and `multiplicities` turns coordinate tuples into
+exponent rows.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ import numpy as np
 
 
 def _require_dim(dim: int) -> None:
+    """The one dimension rule: an integer by `_is_integer`, at least 1."""
+    if not _is_integer(dim):
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError("empty space: dimension must be at least 1")
 
@@ -43,6 +50,18 @@ def count_indices(dim: int, degree: int) -> int:
     return math.comb(dim + degree, degree)
 
 
+def degree_slice(dim: int, degree: int) -> slice:
+    """Positions of the degree-`degree` block in the graded order."""
+    return slice(count_indices(dim, degree - 1) if degree else 0, count_indices(dim, degree))
+
+
+def multiplicities(coords, dim: int) -> np.ndarray:
+    """Row i counts how often each coordinate below dim occurs in coords[i]."""
+    n = len(coords)
+    flat = (np.arange(n)[:, None] * dim + coords).ravel()
+    return np.bincount(flat, minlength=n * dim).reshape(n, dim)
+
+
 def _degree_block(dim: int, degree: int) -> np.ndarray:
     """Exponent rows of total degree exactly `degree`, in graded order.
 
@@ -52,18 +71,13 @@ def _degree_block(dim: int, degree: int) -> np.ndarray:
     degree block.  No recursion, so any dimension works.
     """
     tuples = list(combinations_with_replacement(range(dim), degree))
-    coords = np.array(tuples, dtype=np.int64).reshape(len(tuples), degree)
-    rows = np.zeros((len(tuples), dim), dtype=np.int64)
-    np.add.at(rows, (np.arange(len(tuples))[:, None], coords), 1)
-    return rows
+    return multiplicities(np.array(tuples, dtype=np.int64).reshape(len(tuples), degree), dim)
 
 
 @lru_cache(maxsize=None)
 def indices_of_degree(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """The exponent rows of total degree exactly `degree`, as tuples."""
-    _require_dim(dim)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    count_indices(dim, degree)  # checks the dimension and the degree
     return tuple(map(tuple, _degree_block(dim, degree).tolist()))
 
 
@@ -124,8 +138,7 @@ def _is_integer(e) -> bool:
 def _checked(alpha) -> tuple[int, ...]:
     """The exponents of a multi-index as Python ints, by `_is_integer`."""
     exps = tuple(alpha)
-    if not exps:
-        raise ValueError("empty space: dimension must be at least 1")
+    _require_dim(len(exps))
     for e in exps:
         if not _is_integer(e):
             raise ValueError(f"non-integer exponent {e!r} in multi-index {exps!r}")
@@ -195,9 +208,8 @@ def _pair_tables(dim: int, max_degree: int):
     suffix = _suffix(exps)
     counts = _counts(max_degree, dim + 1)
     binom = _counts(max_degree + 1, max_degree + 1)  # binom[a + 1, b] = C(a + b, b)
-    starts = [0] + [count_indices(dim, d) for d in range(max_degree + 1)]
     blocks = [
-        (slice(starts[da], starts[da + 1]), slice(starts[db], starts[db + 1]))
+        (degree_slice(dim, da), degree_slice(dim, db))
         for da in range(max_degree + 1)
         for db in range(max_degree - da + 1)
     ]

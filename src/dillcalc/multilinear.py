@@ -1,29 +1,23 @@
 """Symmetric multilinear maps and polarization of homogeneous parts.
 
 A symmetric k-linear map C^m -> C^n is stored on the sorted coordinate tuples
-i_1 <= ... <= i_k (combinations with replacement), one entry per output
-component.  The normalization is fixed so that applying the map on the
-diagonal reproduces the homogeneous polynomial it came from: the entry at a
-tuple with multiplicity vector alpha is c_alpha * prod(alpha_i!) / k!.
+i_1 <= ... <= i_k, one entry per output component, in the order of the degree-k
+block (`degree_slice`, `multiplicities`) that `multiindex` owns with the
+dimension rule.  The normalization is fixed so that
+applying the map on the diagonal reproduces the homogeneous polynomial it came
+from: the entry at a tuple with multiplicity vector alpha is c_alpha * prod(alpha_i!) / k!.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import multiindex as mi
+from . import series
 from .series import FiniteSpace, TruncatedSeries
-
-_POLARIZE_POINTS = 1024  # points `polarize` evaluates per batch of tuples
-
-
-@lru_cache(maxsize=None)
-def sorted_tuples(dim: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations_with_replacement(range(dim), arity))
 
 
 @lru_cache(maxsize=None)
@@ -34,14 +28,9 @@ def _ordered_lookup(dim: int, arity: int) -> tuple[np.ndarray, np.ndarray]:
     The sorted tuple with multiplicity vector alpha sits at alpha's place in
     the degree-`arity` block of the graded order.
     """
-    n = dim**arity
-    digits = np.stack(np.unravel_index(np.arange(n), (dim,) * arity), axis=1)
-    counts = np.zeros((n, dim), dtype=np.int64)
-    np.add.at(counts, (np.arange(n)[:, None], digits), 1)
-    sorted_pos = mi.rank(counts) - mi.count_indices(dim, arity - 1)
-    digits.setflags(write=False)
-    sorted_pos.setflags(write=False)
-    return digits, sorted_pos
+    digits = np.stack(np.unravel_index(np.arange(dim**arity), (dim,) * arity), axis=1)
+    sorted_pos = mi.rank(mi.multiplicities(digits, dim)) - mi.degree_slice(dim, arity).start
+    return mi._frozen(digits, sorted_pos)
 
 
 class SymmetricMultilinear:
@@ -53,7 +42,8 @@ class SymmetricMultilinear:
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         arr = np.asarray(entries, dtype=np.complex128)
-        n_tuples = len(sorted_tuples(domain.dim, arity))
+        block = mi.degree_slice(domain.dim, arity)
+        n_tuples = block.stop - block.start
         if arr.shape != (codomain.dim, n_tuples):
             raise ValueError(
                 f"entry table has shape {arr.shape}, expected ({codomain.dim}, {n_tuples})"
@@ -74,9 +64,8 @@ class SymmetricMultilinear:
         dim = self.domain.dim
         if len(t) != self.arity or not all(0 <= i < dim for i in t):
             raise KeyError(f"{tuple(t)} is not a tuple of {self.arity} coordinates below {dim}")
-        counts = np.bincount(np.asarray(t, dtype=np.int64), minlength=dim)
-        block_start = mi.count_indices(dim, self.arity) - self.entries.shape[1]
-        return complex(self.entries[out, mi.rank(counts) - block_start])
+        (pos,) = mi.rank(mi.multiplicities(np.array([t], dtype=np.int64), dim))
+        return complex(self.entries[out, pos - mi.degree_slice(dim, self.arity).start])
 
     def apply(self, args) -> np.ndarray:
         """Evaluate on arity-many vectors by full multilinear expansion.
@@ -133,11 +122,8 @@ def from_monomial(f: TruncatedSeries, arity: int | None = None) -> SymmetricMult
     restriction returns the monomial coefficients.
     """
     k = _homogeneous_arity(f, arity)
-    m = f.domain.dim
-    # sorted_tuples(m, k) lists multiplicity vectors in the order of the
-    # degree-k block, so the block is read in place
-    block = slice(mi.count_indices(m, k - 1) if k else 0, mi.count_indices(m, k))
-    alphas = mi.exponent_matrix(m, f.degree)[block]
+    block = mi.degree_slice(f.domain.dim, k)
+    alphas = mi.exponent_matrix(f.domain.dim, f.degree)[block]
     factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
     scale = factorials[alphas].prod(axis=1) / math.factorial(k)
     entries = f.coeffs[:, block] * scale
@@ -155,14 +141,16 @@ def polarize(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultiline
     """
     k = _homogeneous_arity(f, arity)
     m = f.domain.dim
-    tuples = sorted_tuples(m, k)
-    tuples = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
+    # the sorted tuples: row alpha of the degree-k block repeats coordinate i alpha_i times
+    alphas = mi.exponent_matrix(m, f.degree)[mi.degree_slice(m, k)]
+    tuples = np.repeat(np.tile(np.arange(m), len(alphas)), alphas.ravel()).reshape(len(alphas), k)
     # row `mask` of masks @ units is eps_1 x_1 + ... + eps_k x_k, eps_slot the
     # bit `slot` of mask, for the unit vectors x_slot = e_(t[slot])
     masks = np.arange(2**k)[:, None] >> np.arange(k) & 1
     signs = (-1.0) ** (k - masks.sum(axis=1)) / math.factorial(k)
     entries = np.zeros((f.codomain.dim, len(tuples)), dtype=np.complex128)
-    step = max(1, _POLARIZE_POINTS // 2**k)
+    # at most series._POINT_BLOCK point coordinates a batch
+    step = max(1, series._POINT_BLOCK // (2**k * m))
     for start in range(0, len(tuples), step):
         points = masks @ np.eye(m)[tuples[start : start + step]]
         values = f.evaluate_many(points.reshape(-1, m)).reshape(*points.shape[:2], -1)

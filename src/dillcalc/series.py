@@ -74,8 +74,7 @@ class FiniteSpace:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("empty space: dimension must be at least 1")
+        mi._require_dim(self.dim)
 
 
 def _json_int(value, name: str) -> int:
@@ -186,13 +185,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, dom_dim: int, cod_dim: int, degree: int) -> "TruncatedSeries":
-        n_idx = _check_size(dom_dim, cod_dim, _check_degree(degree))
-        return cls(
-            FiniteSpace(dom_dim),
-            FiniteSpace(cod_dim),
-            degree,
-            np.zeros((cod_dim, n_idx), dtype=np.complex128),
-        )
+        return cls.from_terms(dom_dim, cod_dim, degree, {})
 
     @classmethod
     def from_arrays(cls, dom_dim: int, cod_dim: int, degree: int, coeffs) -> "TruncatedSeries":
@@ -245,12 +238,14 @@ class TruncatedSeries:
     def constant_term(self) -> np.ndarray:
         return self.coeffs[:, 0].copy()
 
-    def evaluate(self, x) -> np.ndarray:
+    def _domain_vector(self, x, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128).reshape(-1)
         if x.size != self.domain.dim:
-            raise ValueError(
-                f"point has dimension {x.size}, series domain is {self.domain.dim}"
-            )
+            raise ValueError(f"{name} has dimension {x.size}, series domain is {self.domain.dim}")
+        return x
+
+    def evaluate(self, x) -> np.ndarray:
+        x = self._domain_vector(x, "point")
         return self.coeffs @ _monomials_at(x, self.domain.dim, self.degree)
 
     def evaluate_many(self, points) -> np.ndarray:
@@ -372,16 +367,18 @@ class TruncatedSeries:
         )
 
     def directional_derivative(self, x, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128).reshape(-1)
-        if v.size != self.domain.dim:
-            raise ValueError(
-                f"direction has dimension {v.size}, series domain is {self.domain.dim}"
-            )
-        out = np.zeros(self.codomain.dim, dtype=np.complex128)
-        for i in range(self.domain.dim):
-            if v[i] != 0:
-                out += v[i] * self.partial_derivative(i).evaluate(x)
-        return out
+        """sum_i v_i d/dx_i f(x): the coefficients paired with the monomials
+        below this degree at x, times factor[i] v_i, scattered through
+        `derivative_table`, so no temporary outgrows that table."""
+        dim = self.domain.dim
+        v, x = self._domain_vector(v, "direction"), self._domain_vector(x, "point")
+        if self.degree == 0:
+            return np.zeros(self.codomain.dim, dtype=np.complex128)
+        _check_size(dim, dim, self.degree - 1)  # the derivative table
+        src, factor = mi.derivative_table(dim, self.degree)
+        weights = np.zeros(self.coeffs.shape[1], dtype=np.complex128)
+        np.add.at(weights, src, factor * _monomials_at(x, dim, self.degree - 1) * v[:, None])
+        return self.coeffs @ weights
 
     # -- operators -----------------------------------------------------------
 

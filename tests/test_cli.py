@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -321,6 +322,41 @@ def test_oversized_derivative_is_refused_before_its_table(tmp_path, capsys, monk
             "a table of 20 x 888030 coefficients (dimension 20, degree 7) "
             "exceeds the size budget of 4194304"
         )
+
+
+def _bang_program(dim, degree):
+    """(bang g degree) for the identity g of C^dim."""
+    units = (" ".join("1" if k == i else "0" for k in range(dim)) for i in range(dim))
+    maps = " ".join(f"{{({u}) -> 1}}" for u in units)
+    return f"(bang (series :dom {dim} :cod {dim} :deg {degree} {maps}) {degree})\n"
+
+
+def test_oversized_promotion_is_one_error(tmp_path):
+    # the 3003 x 3003 promotion matrix of a dimension-6 degree-8 series once
+    # ran for 12 s under a 2 GiB address-space limit and wrote 108 MB of JSON
+    program = tmp_path / "bang.dsl"
+    program.write_text(_bang_program(6, 8))
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", "eval", str(program)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: line 1, col 1: a table of 3003 x 3003 coefficients (dimension 6, degree 8) "
+        "exceeds the size budget of 4194304\n"
+    )
+
+
+def test_promotion_under_the_budget_builds(tmp_path, capsys):
+    program = tmp_path / "bang.dsl"
+    program.write_text(_bang_program(4, 8))
+    assert main(["eval", str(program)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["matrix"]) == len(data["matrix"][0]) == mi.count_indices(4, 8)
 
 
 def test_diff_checks_the_coordinate_at_degree_zero(tmp_path, capsys):

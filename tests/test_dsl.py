@@ -434,6 +434,8 @@ _PROGRAMS = st.lists(
 # C(48, 8) coefficients: these once ran for minutes, then hit a MemoryError
 @example(["(series :dom 40 :cod 1 :deg 8 {})"])
 @example(["(dirac [" + "0 " * 80 + "] 8)"])
+# a 3003 x 3003 promotion matrix: it once ran for 12 s and built 144 MB
+@example(["(bang (series :dom 6 :cod 6 :deg 8 {(1 0 0 0 0 0) -> 1} {} {} {} {} {}) 8)"])
 def test_fuzz_terms_raise_only_parse_or_eval_errors(forms):
     text = _PRELUDE + "\n".join(forms)
     try:

@@ -1,6 +1,9 @@
 import functools
 import json
 import math
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -259,6 +262,31 @@ def test_codereliction_is_derivative_at_zero():
     got = xp.codereliction(v, 3).apply(f)
     want = f.directional_derivative(np.zeros(2), v)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+_WIDE_UNITS = """
+import numpy as np
+from dillcalc import exponential as xp
+v = np.zeros(30000)
+v[-1] = 3.0
+d = xp.codereliction(v, 1)
+assert d.coeffs.size == 30001 and d.coeffs[30000] == 3.0 and np.count_nonzero(d.coeffs) == 1
+assert xp.counit(30000, 1)(d)[-1] == 3.0
+"""
+
+
+def test_wide_unit_indices_need_no_square_table():
+    # 30001 entries are under the size budget; the unit positions once came
+    # from a dim x dim identity, 7.2 GB at this dimension
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_UNITS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # -- operators ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Package code reads exponent rows and `rank`.  Only the multi-index module
-itself calls the tuple views of the enumeration; the check-only routes walk
+itself calls the tuple views of the enumeration or lists sorted coordinate
+tuples, and only it states the dimension rule; the check-only routes walk
 exponent rows too.  The join of (row, col, value) triples lives in
 `LinearOperator` alone.  No module reads the environment.  Importing the
 package and its CLI loads neither the law harness nor the term language, and
@@ -65,6 +66,21 @@ def test_the_guard_sees_the_check_only_oracle(tmp_path):
         ("index_positions", ("Oracle", "walk")),
         ("indices_of_degree", ()),
     ]
+
+
+def test_only_the_index_layer_decides_the_graded_order():
+    # degree blocks come from one combinations_with_replacement call, and
+    # dimensions are checked by one rule
+    offenders = [
+        f"{path.name}: combinations_with_replacement() in {'.'.join(stack) or 'module scope'}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "multiindex.py"
+        for _, stack in guarded_calls(path, {"combinations_with_replacement"})
+    ]
+    assert offenders == []
+    assert guarded_calls(SRC / "multiindex.py", {"combinations_with_replacement"})
+    stated = [p.name for p in sorted(SRC.glob("*.py")) if "empty space" in p.read_text()]
+    assert stated == ["multiindex.py"]
 
 
 def test_only_the_operator_module_joins_triples():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dillcalc import multilinear as ml
+from dillcalc import series
 from dillcalc.series import FiniteSpace, TruncatedSeries
 
 from brute import iter_indices
@@ -28,10 +29,39 @@ def _rand_vecs(rng, n, dim):
     return [rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim) for _ in range(n)]
 
 
+def itertools_tuples(dim, arity):
+    """The sorted coordinate tuples, listed by itertools: an oracle that shares
+    no code with the package's degree blocks."""
+    return list(itertools.combinations_with_replacement(range(dim), arity))
+
+
 def test_sorted_tuple_count():
+    # the stored table has one column per sorted tuple
     for dim in (1, 2, 3):
         for arity in (0, 1, 2, 3):
-            assert len(ml.sorted_tuples(dim, arity)) == math.comb(dim + arity - 1, arity)
+            n = len(itertools_tuples(dim, arity))
+            assert n == math.comb(dim + arity - 1, arity)
+            spaces = (FiniteSpace(dim), FiniteSpace(1))
+            assert ml.SymmetricMultilinear(arity, *spaces, np.zeros((1, n))).arity == arity
+            with pytest.raises(ValueError, match="entry table has shape"):
+                ml.SymmetricMultilinear(arity, *spaces, np.zeros((1, n + 1)))
+
+
+def test_polarize_columns_follow_the_itertools_order():
+    # column col belongs to the col-th sorted tuple t; with alpha its
+    # multiplicity vector, the entry is c_alpha * prod(alpha_i!) / k!
+    for dim in (1, 2, 3):
+        for arity in range(5):
+            tuples = itertools_tuples(dim, arity)
+            alphas = [tuple(t.count(i) for i in range(dim)) for t in tuples]
+            coeffs = [complex(col + 1, -col) for col in range(len(tuples))]
+            terms = {(0, a): c for a, c in zip(alphas, coeffs)}
+            f = TruncatedSeries.from_terms(dim, 1, arity, terms)
+            want = [
+                c * math.prod(math.factorial(e) for e in a) / math.factorial(arity)
+                for a, c in zip(alphas, coeffs)
+            ]
+            np.testing.assert_allclose(ml.polarize(f, arity).entries[0], want, atol=1e-12)
 
 
 def test_cube_polarization_frozen():
@@ -63,6 +93,23 @@ def test_polarize_matches_from_monomial(fa):
     b = ml.polarize(f, arity)
     assert a.arity == b.arity == arity
     np.testing.assert_allclose(a.entries, b.entries, atol=1e-9)
+
+
+def test_polarize_in_several_batches(monkeypatch):
+    # 2^3 points of 3 coordinates per tuple: a block of 48 coordinates takes
+    # two of the ten tuples a batch, so the batches are five
+    rng = np.random.default_rng(11)
+    terms = {
+        (out, alpha): complex(*rng.uniform(-1, 1, 2))
+        for out in (0, 1)
+        for alpha in iter_indices(3, 3)
+        if sum(alpha) == 3
+    }
+    f = TruncatedSeries.from_terms(3, 2, 3, terms)
+    monkeypatch.setattr(series, "_POINT_BLOCK", 48)
+    np.testing.assert_allclose(
+        ml.polarize(f, 3).entries, ml.from_monomial(f, 3).entries, atol=1e-12
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,12 +187,12 @@ def test_entry_reads_the_sorted_tuple_in_any_order():
     rng = np.random.default_rng(7)
     for dim in (1, 2, 3):
         for arity in range(5):
-            n = len(ml.sorted_tuples(dim, arity))
+            n = len(itertools_tuples(dim, arity))
             entries = rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n))
             tensor = ml.SymmetricMultilinear(
                 arity, FiniteSpace(dim), FiniteSpace(2), entries
             )
-            for col, t in enumerate(ml.sorted_tuples(dim, arity)):
+            for col, t in enumerate(itertools_tuples(dim, arity)):
                 for ordered in set(itertools.permutations(t)):
                     for out in (0, 1):
                         assert tensor.entry(out, ordered) == entries[out, col]

@@ -74,6 +74,26 @@ def test_from_terms_validation():
         TruncatedSeries.zero(0, 1, 2)
 
 
+_DIMENSION_TAKERS = {
+    "FiniteSpace": FiniteSpace,
+    "zero-domain": lambda dim: TruncatedSeries.zero(dim, 1, 2),
+    "zero-codomain": lambda dim: TruncatedSeries.zero(1, dim, 2),
+    "from_arrays": lambda dim: TruncatedSeries.from_arrays(dim, 1, 2, np.zeros((1, 3))),
+    "from_terms": lambda dim: TruncatedSeries.from_terms(dim, 1, 2, {}),
+    "Distribution": lambda dim: xp.Distribution(dim, 2, [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("build", _DIMENSION_TAKERS.values(), ids=_DIMENSION_TAKERS.keys())
+def test_dimension_must_be_an_integer(build, dim):
+    # one dimension rule; a bool once built a space of dimension True, and a
+    # float failed in math.comb with a TypeError
+    message = f"^dimension must be an integer, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=message):
+        build(dim)
+
+
 def test_zero_power_convention():
     # 0^0 = 1: evaluating at the origin returns the constant term
     f = TruncatedSeries.from_terms(2, 1, 2, {(0, (0, 0)): 5.0, (0, (1, 0)): 7.0})
