@@ -136,7 +136,7 @@ class CurriedSeries:
                 or s.codomain.dim != self.codomain_dim
                 or s.degree != want
             ):
-                alpha = tuple(mi.exponent_matrix(self.outer_dim, self.degree)[p].tolist())
+                alpha = tuple(mi.unrank(p, self.outer_dim, self.degree)[0].tolist())
                 raise ValueError(
                     f"inconsistent nesting at outer index {alpha}: expected a "
                     f"series C^{self.inner_dim} -> C^{self.codomain_dim} of degree {want}"
@@ -181,8 +181,8 @@ def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
     """Reindex c_(alpha, beta) into a nest over the first `outer_dim` coordinates.
 
     Pure coefficient bookkeeping: the binomial weights of the slot-splitting
-    formula cancel against the multiplicities of multi-index storage, see
-    `split_slot_reference` for the check.
+    formula cancel against the repeated-coordinate counts of multi-index
+    storage, see `split_slot_reference` for the check.
     """
     m = f.domain.dim
     if not 1 <= outer_dim <= m - 1:

@@ -121,7 +121,7 @@ class Distribution:
 
     def to_json_dict(self) -> dict:
         (pos,) = np.nonzero(self.coeffs)
-        alphas = mi.exponent_matrix(self.dim, self.degree)[pos].tolist()
+        alphas = mi.unrank(pos, self.dim, self.degree).tolist()
         entries = [
             {"alpha": a, "re": c.real, "im": c.imag}
             for a, c in zip(alphas, self.coeffs[pos].tolist())

@@ -7,21 +7,22 @@ comparison of the exponent tuples, so for dimension 2 the order starts
 depend on the truncation degree, so a degree-D table is a prefix of the
 degree-D' table for D' > D.  All counting is done in exact integer arithmetic.
 
-A multi-index is a row of integers: `exponent_matrix` holds the rows of the
-graded order, and `rank` is the one place positions are computed.  It maps
-exponent rows to graded positions arithmetically, and the exponential
-structure maps, currying, series construction and the JSON writers all
-scatter through it or read rows of `exponent_matrix`.  The product,
-convolution and derivative tables apply the same formula to shifted suffix
-sums, so the summed or raised exponent rows are never formed.  The scalar
-API (`position_of`, `binom_componentwise`) takes any sequence of integers and
-checks it with `_checked`.  `indices_of_degree`, `enumerate_indices` and
-`index_positions` are plain-tuple views of the exponent rows that no package
-code calls; the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
-The other modules ask this one for the dimension rule (`_require_dim`) and the
-degree blocks: `degree_slice` gives their positions (the degree-1 block holds
-the unit indices e_1..e_m) and `multiplicities` turns coordinate tuples into
-exponent rows.
+A multi-index is a row of integers, and `rank` and `unrank` are the one
+bijection between exponent rows and graded positions.  `rank` maps rows to
+positions arithmetically, from suffix sums and a cached Pascal table;
+`unrank` peels the same suffix sums off a position, and `exponent_matrix` is
+`unrank` of every position.  The exponential structure maps, currying and
+series construction scatter through `rank` or read rows of
+`exponent_matrix`; the JSON writers unrank only the positions they print.
+The product, convolution and derivative tables apply the `rank` formula to
+shifted suffix sums, so the summed or raised exponent rows are never formed.
+The scalar API (`position_of`, `binom_componentwise`) takes any sequence of
+integers and checks it with `_checked`.  `indices_of_degree`,
+`enumerate_indices` and `index_positions` are plain-tuple views of
+`exponent_matrix` that no package code calls; the benchmark's tracer
+(`perfbench/tracer.py`) wraps them by name.  The other modules ask this one
+for the dimension rule (`_require_dim`) and for the positions of a degree
+block (`degree_slice`; the degree-1 block holds the unit indices e_1..e_m).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -55,30 +55,10 @@ def degree_slice(dim: int, degree: int) -> slice:
     return slice(count_indices(dim, degree - 1) if degree else 0, count_indices(dim, degree))
 
 
-def multiplicities(coords, dim: int) -> np.ndarray:
-    """Row i counts how often each coordinate below dim occurs in coords[i]."""
-    n = len(coords)
-    flat = (np.arange(n)[:, None] * dim + coords).ravel()
-    return np.bincount(flat, minlength=n * dim).reshape(n, dim)
-
-
-def _degree_block(dim: int, degree: int) -> np.ndarray:
-    """Exponent rows of total degree exactly `degree`, in graded order.
-
-    combinations_with_replacement lists the sorted coordinate tuples of length
-    `degree` in ascending lexicographic order, and their multiplicity vectors
-    come out in descending lexicographic order, which is the order inside a
-    degree block.  No recursion, so any dimension works.
-    """
-    tuples = list(combinations_with_replacement(range(dim), degree))
-    return multiplicities(np.array(tuples, dtype=np.int64).reshape(len(tuples), degree), dim)
-
-
 @lru_cache(maxsize=None)
 def indices_of_degree(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """The exponent rows of total degree exactly `degree`, as tuples."""
-    count_indices(dim, degree)  # checks the dimension and the degree
-    return tuple(map(tuple, _degree_block(dim, degree).tolist()))
+    return tuple(map(tuple, exponent_matrix(dim, degree)[degree_slice(dim, degree)].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +106,26 @@ def rank(exps) -> np.ndarray:
     suffix = _suffix(exps)
     counts = _counts(int(suffix.max(initial=0)), dim + 1)
     return counts[suffix, np.arange(dim, 0, -1)].sum(axis=-1)
+
+
+def unrank(positions, dim: int, max_degree: int) -> np.ndarray:
+    """Exponent rows at the given graded positions, each below
+    count_indices(dim, max_degree): the inverse of `rank`, shape (len, dim).
+
+    The terms counts[r_i, m - i] of `rank` grow strictly with r_i, and the
+    terms after the i-th sum to less than the gap to counts[r_i + 1, m - i],
+    so each suffix sum r_i is the largest r with counts[r, m - i] at most
+    what the earlier terms leave of the position (the combinatorial number
+    system).  alpha_i = r_i - r_(i+1).
+    """
+    rest = np.array(positions, dtype=np.int64).reshape(-1)
+    counts = _counts(max_degree, dim + 1)
+    suffix = np.zeros((rest.size, dim + 1), dtype=np.int64)
+    for i in range(dim):
+        col = counts[:, dim - i]
+        suffix[:, i] = (col <= rest[:, None]).sum(axis=1) - 1
+        rest -= col[suffix[:, i]]
+    return suffix[:, :-1] - suffix[:, 1:]
 
 
 def _is_integer(e) -> bool:
@@ -180,8 +180,7 @@ def _frozen(*arrays):
 @lru_cache(maxsize=None)
 def exponent_matrix(dim: int, max_degree: int) -> np.ndarray:
     """Integer array of shape (count, dim); row i is the i-th multi-index."""
-    _require_dim(dim)
-    m = np.concatenate([_degree_block(dim, d) for d in range(max_degree + 1)])
+    m = unrank(np.arange(count_indices(dim, max_degree)), dim, max_degree)
     m.setflags(write=False)
     return m
 

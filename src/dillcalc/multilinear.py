@@ -1,17 +1,16 @@
 """Symmetric multilinear maps and polarization of homogeneous parts.
 
-A symmetric k-linear map C^m -> C^n is stored on the sorted coordinate tuples
-i_1 <= ... <= i_k, one entry per output component, in the order of the degree-k
-block (`degree_slice`, `multiplicities`) that `multiindex` owns with the
-dimension rule.  The normalization is fixed so that
-applying the map on the diagonal reproduces the homogeneous polynomial it came
-from: the entry at a tuple with multiplicity vector alpha is c_alpha * prod(alpha_i!) / k!.
+A symmetric k-linear map C^m -> C^n is stored with one entry per output
+component and per multi-index alpha of degree k, in the order of the
+degree-k block (`degree_slice`) of the graded order that `multiindex` fixes
+with `rank` and `unrank`.  The normalization is fixed so that applying the
+map on the diagonal reproduces the homogeneous polynomial it came from: the
+entry at alpha is c_alpha * prod(alpha_i!) / k!.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,27 +19,14 @@ from . import series
 from .series import FiniteSpace, TruncatedSeries
 
 
-@lru_cache(maxsize=None)
-def _ordered_lookup(dim: int, arity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digit table of all ordered tuples in [dim]^arity, arity >= 1, and their
-    sorted positions.
-
-    The sorted tuple with multiplicity vector alpha sits at alpha's place in
-    the degree-`arity` block of the graded order.
-    """
-    digits = np.stack(np.unravel_index(np.arange(dim**arity), (dim,) * arity), axis=1)
-    sorted_pos = mi.rank(mi.multiplicities(digits, dim)) - mi.degree_slice(dim, arity).start
-    return mi._frozen(digits, sorted_pos)
-
-
 class SymmetricMultilinear:
-    """Symmetric k-linear map stored on sorted coordinate tuples."""
+    """Symmetric k-linear map stored on the degree-k multi-indices."""
 
     __slots__ = ("arity", "domain", "codomain", "entries")
 
     def __init__(self, arity: int, domain: FiniteSpace, codomain: FiniteSpace, entries):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+        if not 0 <= arity <= series.MAX_DEGREE:  # apply multiplies series of degree arity
+            raise ValueError(f"arity {arity} outside 0..{series.MAX_DEGREE}")
         arr = np.asarray(entries, dtype=np.complex128)
         block = mi.degree_slice(domain.dim, arity)
         n_tuples = block.stop - block.start
@@ -60,37 +46,38 @@ class SymmetricMultilinear:
 
     def entry(self, out: int, t: tuple[int, ...]) -> complex:
         """The entry at the coordinate tuple t, in any order: the rank of its
-        multiplicity vector inside the degree-`arity` block, as in `_ordered_lookup`."""
+        multiplicity vector inside the degree-`arity` block."""
         dim = self.domain.dim
         if len(t) != self.arity or not all(0 <= i < dim for i in t):
             raise KeyError(f"{tuple(t)} is not a tuple of {self.arity} coordinates below {dim}")
-        (pos,) = mi.rank(mi.multiplicities(np.array([t], dtype=np.int64), dim))
+        pos = mi.rank(np.bincount(np.array(t, dtype=np.int64), minlength=dim))
         return complex(self.entries[out, pos - mi.degree_slice(dim, self.arity).start])
 
     def apply(self, args) -> np.ndarray:
-        """Evaluate on arity-many vectors by full multilinear expansion.
+        """Evaluate on arity-many vectors v_1..v_k.
 
-        The sum runs over every ordered coordinate tuple; the symmetric entry is
-        looked up at the sorted tuple, which is exactly the multiplicity
-        bookkeeping of the stored normal form.
+        The weight of the entry at alpha is the coefficient of y^alpha in
+        prod_s <v_s, y>, which sums prod_s v_s[i_s] over the ordered
+        coordinate tuples with multiplicity vector alpha; so the value is the
+        entries against the degree-k block of that product, k - 1 Cauchy
+        products of linear forms.
         """
         vecs = [np.asarray(a, dtype=np.complex128).reshape(-1) for a in args]
         if len(vecs) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(vecs)}")
+        dim = self.domain.dim
         for v in vecs:
-            if v.size != self.domain.dim:
-                raise ValueError(
-                    f"argument has dimension {v.size}, expected {self.domain.dim}"
-                )
+            if v.size != dim:
+                raise ValueError(f"argument has dimension {v.size}, expected {dim}")
         if self.arity == 0:
             return self.entries[:, 0].copy()
-        digits, sorted_pos = _ordered_lookup(self.domain.dim, self.arity)
-        prod = np.ones(digits.shape[0], dtype=np.complex128)
-        for slot in range(self.arity):
-            prod *= vecs[slot][digits[:, slot]]
-        weights = np.zeros(self.entries.shape[1], dtype=np.complex128)
-        np.add.at(weights, sorted_pos, prod)
-        return self.entries @ weights
+        product = None
+        for v in vecs:
+            coeffs = np.zeros((1, mi.count_indices(dim, self.arity)), dtype=np.complex128)
+            coeffs[0, mi.degree_slice(dim, 1)] = v
+            form = TruncatedSeries(self.domain, FiniteSpace(1), self.arity, coeffs)
+            product = form if product is None else product.pointwise_multiply(form)
+        return self.entries @ product.coeffs[0, mi.degree_slice(dim, self.arity)]
 
 
 def _homogeneous_arity(f: TruncatedSeries, arity: int | None) -> int:
@@ -117,9 +104,8 @@ def _homogeneous_arity(f: TruncatedSeries, arity: int | None) -> int:
 def from_monomial(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultilinear:
     """Symmetric form of a homogeneous degree-k part, via the coefficient rule.
 
-    The entry on the sorted tuple with multiplicity vector alpha is
-    c_alpha * prod(alpha_i!) / k!, the unique symmetric choice whose diagonal
-    restriction returns the monomial coefficients.
+    The entry at alpha is c_alpha * prod(alpha_i!) / k!, the unique symmetric
+    choice whose diagonal restriction returns the monomial coefficients.
     """
     k = _homogeneous_arity(f, arity)
     block = mi.degree_slice(f.domain.dim, k)
@@ -141,7 +127,7 @@ def polarize(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultiline
     """
     k = _homogeneous_arity(f, arity)
     m = f.domain.dim
-    # the sorted tuples: row alpha of the degree-k block repeats coordinate i alpha_i times
+    # the coordinate tuples: row alpha of the degree-k block repeats coordinate i alpha_i times
     alphas = mi.exponent_matrix(m, f.degree)[mi.degree_slice(m, k)]
     tuples = np.repeat(np.tile(np.arange(m), len(alphas)), alphas.ravel()).reshape(len(alphas), k)
     # row `mask` of masks @ units is eps_1 x_1 + ... + eps_k x_k, eps_slot the

@@ -62,6 +62,13 @@ def _check_size(dom_dim: int, cod_dim: int, degree: int) -> int:
     return n_idx
 
 
+def _check_out(j, cod_dim: int) -> int:
+    """The one output-component rule: an integer by `mi._is_integer`, 0 <= j < cod_dim."""
+    if not (mi._is_integer(j) and 0 <= j < cod_dim):
+        raise ValueError(f"output component {j} out of range")
+    return int(j)
+
+
 def _check_index_dim(alpha, dim: int) -> None:
     if len(alpha) != dim:
         raise ValueError(f"multi-index {tuple(alpha)} has dimension {len(alpha)}, expected {dim}")
@@ -200,8 +207,7 @@ class TruncatedSeries:
         n_idx = _check_size(dom_dim, cod_dim, degree)
         for j, alpha in terms:
             _check_index_dim(alpha, dom_dim)
-            if not 0 <= j < cod_dim:
-                raise ValueError(f"output component {j} out of range")
+            _check_out(j, cod_dim)
         alphas = [mi._checked(alpha) for _, alpha in terms]  # refuses bool, float, negative
         # Python ints compare exactly, so an exponent past int64 is over-degree
         exps = np.array(alphas, dtype=object).reshape(len(alphas), dom_dim)
@@ -233,6 +239,7 @@ class TruncatedSeries:
 
     def coefficient(self, out: int, alpha) -> complex:
         _check_index_dim(alpha, self.domain.dim)
+        out = _check_out(out, self.codomain.dim)
         return complex(self.coeffs[out, mi.position_of(alpha, self.degree)])
 
     def constant_term(self) -> np.ndarray:
@@ -283,6 +290,7 @@ class TruncatedSeries:
         )
 
     def component(self, j: int) -> "TruncatedSeries":
+        j = _check_out(j, self.codomain.dim)
         return TruncatedSeries(self.domain, FiniteSpace(1), self.degree, self.coeffs[j : j + 1])
 
     # -- algebra -------------------------------------------------------------
@@ -406,7 +414,7 @@ class TruncatedSeries:
 
     def to_json_dict(self) -> dict:
         outs, pos = np.nonzero(self.coeffs)
-        alphas = mi.exponent_matrix(self.domain.dim, self.degree)[pos].tolist()
+        alphas = mi.unrank(pos, self.domain.dim, self.degree).tolist()
         values = self.coeffs[outs, pos].tolist()
         return {
             "domain_dim": self.domain.dim,

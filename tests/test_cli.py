@@ -359,6 +359,30 @@ def test_promotion_under_the_budget_builds(tmp_path, capsys):
     assert len(data["matrix"]) == len(data["matrix"][0]) == mi.count_indices(4, 8)
 
 
+def test_wide_distribution_json_unranks_only_its_nonzero_positions(tmp_path):
+    # 30001 coefficients are under the size budget; the JSON writer once
+    # built the whole 30001 x 30000 exponent table to print one of them
+    dim = 30000
+    pairs = ["0 0"] * dim
+    pairs[dim - 2] = "3 0"
+    program = tmp_path / "coder.dsl"
+    program.write_text(f"(coder [{' '.join(pairs)}] 1)\n")
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", "eval", str(program)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(proc.stdout)
+    unit = [0] * dim
+    unit[dim - 2] = 1
+    assert (data["dim"], data["degree"]) == (dim, 1)
+    assert data["coeffs"] == [{"alpha": unit, "re": 3.0, "im": 0.0}]
+
+
 def test_diff_checks_the_coordinate_at_degree_zero(tmp_path, capsys):
     # a degree-0 series once gave a zero derivative for any coordinate
     f = series_file(tmp_path, "c.json", 2, 1, 0, {(0, (0, 0)): 1.0})

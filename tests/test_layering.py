@@ -1,6 +1,7 @@
-"""Package code reads exponent rows and `rank`.  Only the multi-index module
-itself calls the tuple views of the enumeration or lists sorted coordinate
-tuples, and only it states the dimension rule; the check-only routes walk
+"""Package code reads exponent rows, `rank` and `unrank`.  Only the
+multi-index module itself calls the tuple views of the enumeration or reads
+its Pascal table, no module lists sorted coordinate tuples, and only the
+multi-index module states the dimension rule; the check-only routes walk
 exponent rows too.  The join of (row, col, value) triples lives in
 `LinearOperator` alone.  No module reads the environment.  Importing the
 package and its CLI loads neither the law harness nor the term language, and
@@ -68,19 +69,43 @@ def test_the_guard_sees_the_check_only_oracle(tmp_path):
     ]
 
 
+def name_reads(path, name):
+    """Line numbers in a file of every read of `name`: bare, as an attribute
+    or imported."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
+
+
 def test_only_the_index_layer_decides_the_graded_order():
-    # degree blocks come from one combinations_with_replacement call, and
-    # dimensions are checked by one rule
+    # positions and exponent rows come from rank and unrank alone: no module
+    # lists sorted coordinate tuples, only the index layer reads the Pascal
+    # table, and dimensions are checked by one rule
     offenders = [
         f"{path.name}: combinations_with_replacement() in {'.'.join(stack) or 'module scope'}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "multiindex.py"
         for _, stack in guarded_calls(path, {"combinations_with_replacement"})
     ]
     assert offenders == []
-    assert guarded_calls(SRC / "multiindex.py", {"combinations_with_replacement"})
+    readers = [p.name for p in sorted(SRC.glob("*.py")) if name_reads(p, "_counts")]
+    assert readers == ["multiindex.py"]
     stated = [p.name for p in sorted(SRC.glob("*.py")) if "empty space" in p.read_text()]
     assert stated == ["multiindex.py"]
+
+
+def test_the_name_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "from dillcalc.multiindex import _counts\n"
+        "TABLE = mi._counts(4, 3)\n"
+        "def f():\n"
+        "    return _counts\n"
+    )
+    assert name_reads(snippet, "_counts") == [1, 2, 4]
 
 
 def test_only_the_operator_module_joins_triples():

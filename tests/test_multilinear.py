@@ -1,5 +1,8 @@
 import itertools
 import math
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +131,48 @@ def test_apply_symmetric_and_diagonal(fa, seed):
     )
 
 
+def test_apply_matches_the_ordered_tuple_expansion():
+    # oracle: sum over every ordered coordinate tuple of the product of the
+    # slot coordinates times the entry at its sorted tuple, found by list search
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        for arity in range(5):
+            tuples = itertools_tuples(dim, arity)
+            shape = (2, len(tuples))
+            entries = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+            tensor = ml.SymmetricMultilinear(arity, FiniteSpace(dim), FiniteSpace(2), entries)
+            args = _rand_vecs(rng, arity, dim)
+            want = np.zeros(2, dtype=complex)
+            for t in itertools.product(range(dim), repeat=arity):
+                weight = math.prod(args[slot][i] for slot, i in enumerate(t))
+                want += weight * entries[:, tuples.index(tuple(sorted(t)))]
+            np.testing.assert_allclose(tensor.apply(args), want, atol=1e-12)
+
+
+_WIDE_APPLY = """
+import numpy as np
+from dillcalc import multilinear as ml
+from dillcalc.series import TruncatedSeries
+f = TruncatedSeries.from_terms(10, 1, 8, {(0, (8,) + (0,) * 9): 1.0})
+value = ml.from_monomial(f).apply([np.eye(10)[0]] * 8)
+assert value.tolist() == [1.0], value
+"""
+
+
+def test_apply_builds_no_table_of_ordered_tuples():
+    # x_0^8 on C^10 is a 24310-entry tensor; apply once listed all 10^8
+    # ordered tuples of 8 coordinates
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_APPLY],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_apply_multilinearity():
     f = TruncatedSeries.from_terms(2, 1, 3, {(0, (2, 1)): 1.0 + 0.5j})
     tensor = ml.from_monomial(f, 3)
@@ -164,6 +209,11 @@ def test_arity_cap():
         with pytest.raises(ValueError, match="arity 5 exceeds the series degree 3"):
             route(TruncatedSeries.zero(1, 1, 3), 5)
         assert route(TruncatedSeries.zero(1, 1, 3), 3).arity == 3
+    # a form built by hand obeys the same cap, since apply multiplies series
+    # of degree arity; arity 9 once built and failed only in apply
+    for arity in (-1, series.MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match=f"arity {arity} outside 0..{series.MAX_DEGREE}"):
+            ml.SymmetricMultilinear(arity, FiniteSpace(1), FiniteSpace(1), [[1.0]])
 
 
 def test_apply_validation():

@@ -121,9 +121,21 @@ def _bump_middle_entry(original):
     return crooked
 
 
-def _swap_two(arr):
-    arr[[0, -1]] = arr[[-1, 0]]
-    return arr
+def _swap_rows_1_2(rows):
+    # rows 1 and 2 of the graded order, e_0 and e_1 at dimension 2, share the
+    # degree-1 block; a shorter result is left alone
+    rows = np.array(rows)
+    if len(rows) > 2:
+        rows[[1, 2]] = rows[[2, 1]]
+    return rows
+
+
+def _uncommuted(table):
+    # the first pair (alpha, e_0) with alpha != 0 reads e_1 instead, while
+    # its mirror (e_0, alpha) stays: a * b and b * a now differ
+    ia, ib, ic = (np.array(arr) for arr in table)
+    ib[np.flatnonzero((ia > 0) & (ib == 1))[0]] = 2
+    return ia, ib, ic
 
 
 def _bump_last_inner(c):
@@ -134,7 +146,9 @@ def _bump_last_inner(c):
 # row name -> (kernel, corruption); "module.name" or "module.Class.method"
 ROWS = {
     "rank": ("multiindex.rank", _result(lambda r: _bumped(r, by=1))),
+    "unrank": ("multiindex.unrank", _result(_swap_rows_1_2)),
     "product_table": ("multiindex.product_table", _result(_drop_last_triple)),
+    "product_table-noncommutative": ("multiindex.product_table", _result(_uncommuted)),
     "convolution_table": (
         "multiindex.convolution_table",
         _table(3, lambda w: _bumped(w, at=w.size // 2, by=1.0)),
@@ -187,13 +201,13 @@ ROWS = {
         "multilinear.SymmetricMultilinear.apply",
         _result(lambda v: v + 1e-3),
     ),
-    "_ordered_lookup": ("multilinear._ordered_lookup", _table(1, _swap_two)),
 }
 
 # The shipped kernels the matrix must cover; a kernel renamed or added
 # without a row fails `test_every_kernel_has_a_row`.
 KERNELS = [
     "multiindex.rank",
+    "multiindex.unrank",
     "multiindex.product_table",
     "multiindex.convolution_table",
     "multiindex.derivative_table",
@@ -232,7 +246,6 @@ KERNELS = [
     "multilinear.from_monomial",
     "multilinear.polarize",
     "multilinear.SymmetricMultilinear.apply",
-    "multilinear._ordered_lookup",
 ]
 
 # The cases of the hand-written corruption tests this matrix replaces: their

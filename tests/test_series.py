@@ -373,6 +373,33 @@ def test_component():
         f.component(2)
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda f: f.coefficient(-1, (1, 0)),
+        lambda f: f.coefficient(2, (1, 0)),
+        lambda f: f.coefficient(True, (1, 0)),
+        lambda f: f.coefficient(1.0, (1, 0)),
+        lambda f: f.component(-1),
+        lambda f: f.component(2),
+        lambda f: f.component(True),
+        lambda f: TruncatedSeries.from_terms(2, 2, 2, {(True, (1, 0)): 1.0}),
+        lambda f: TruncatedSeries.from_terms(2, 2, 2, {(1.0, (1, 0)): 1.0}),
+    ],
+    ids=[
+        "coefficient-negative", "coefficient-past-end", "coefficient-bool", "coefficient-float",
+        "component-negative", "component-past-end", "component-bool",
+        "from_terms-bool", "from_terms-float",
+    ],
+)
+def test_output_component_has_one_rule(read):
+    # coefficient(-1, ...) once read the last component, coefficient(2, ...)
+    # raised IndexError and coefficient(True, ...) TypeError
+    f = TruncatedSeries.from_terms(2, 2, 2, {(0, (1, 0)): 1.0, (1, (1, 0)): 2.0})
+    with pytest.raises(ValueError, match="output component .* out of range"):
+        read(f)
+
+
 @pytest.mark.parametrize("degree", [2.7, True, "2", 2.0])
 def test_degree_must_be_an_integer(degree):
     # int() would read each of these as a degree
