@@ -14,8 +14,12 @@ positions arithmetically, from suffix sums and a cached Pascal table;
 `unrank` of every position.  The exponential structure maps, currying and
 series construction scatter through `rank` or read rows of
 `exponent_matrix`; the JSON writers unrank only the positions they print.
-The product, convolution and derivative tables apply the `rank` formula to
-shifted suffix sums, so the summed or raised exponent rows are never formed.
+Adding multi-indices has one formula, the shift table `derivative_table`,
+src[i, t] = rank(alpha_t + e_i), which applies the `rank` formula to
+shifted suffix sums.  `power_tree` reads each parent beta - e_j off it, and
+the product and convolution tables walk that tree, moving columns of pairs
+through the shift table: no summed exponent row is formed, and no exponent
+row above degree max_degree - 1 is read.
 The scalar API (`position_of`, `binom_componentwise`) takes any sequence of
 integers and checks it with `_checked`.  `indices_of_degree`,
 `enumerate_indices` and `index_positions` are plain-tuple views of
@@ -197,38 +201,36 @@ def _pair_tables(dim: int, max_degree: int):
     """(ia, ib, ic, w) over all pairs alpha_ia + alpha_ib = alpha_ic, all <= max_degree,
     with w = binom_componentwise(alpha_ia, alpha_ib).
 
-    One pass writes each degree block (da, db), da + db <= max_degree, straight
-    into the output, da-major and ia-major inside a block.  Suffix sums add,
-    s_i(alpha + beta) = s_i(alpha) + s_i(beta), so rank(alpha + beta) and the
-    weight both build up one coordinate at a time from (na x nb) gathers,
-    without materialising the summed exponent rows.
+    One walk over the degrees db of beta writes each block (da, db),
+    da + db <= max_degree, straight into the output, da-major and ia-major
+    inside a block.  Column beta holds rank(alpha + beta) and the weight for
+    every alpha with |alpha| <= max_degree - db: the column of its parent
+    beta - e_j, j = last beta, moved through the shift table, the weight
+    times (alpha_j + beta_j) / beta_j from `factor`, exact since weights are
+    integers.  Only the previous degree's columns are kept.
     """
-    exps = exponent_matrix(dim, max_degree)
-    suffix = _suffix(exps)
-    counts = _counts(max_degree, dim + 1)
-    binom = _counts(max_degree + 1, max_degree + 1)  # binom[a + 1, b] = C(a + b, b)
-    blocks = [
-        (degree_slice(dim, da), degree_slice(dim, db))
-        for da in range(max_degree + 1)
-        for db in range(max_degree - da + 1)
-    ]
-    total = sum((ra.stop - ra.start) * (rb.stop - rb.start) for ra, rb in blocks)
-    ia, ib, ic = (np.empty(total, dtype=np.int64) for _ in range(3))
-    w = np.empty(total, dtype=np.float64)
-    end = 0
-    for ra, rb in blocks:
-        rows_a, rows_b = np.arange(ra.start, ra.stop), np.arange(rb.start, rb.stop)
-        shape = (rows_a.size, rows_b.size)
-        at = slice(end, end + rows_a.size * rows_b.size)
-        end = at.stop
-        ia[at].reshape(shape)[:] = rows_a[:, None]
-        ib[at].reshape(shape)[:] = rows_b
-        c, v = ic[at].reshape(shape), w[at].reshape(shape)
-        c[:] = 0
-        v[:] = 1.0
-        for i in range(dim):
-            c += counts[suffix[ra, i, None] + suffix[rb, i], dim - i]
-            v *= binom[exps[ra, i, None] + 1, exps[rb, i]]
+    src, factor = derivative_table(dim, max_degree)
+    parent, last = power_tree(dim, max_degree)
+    block = [degree_slice(dim, d) for d in range(max_degree + 1)]
+    n = [r.stop - r.start for r in block]
+    # block (da, db) follows the n[a] * count(max_degree - a) pairs of each a < da
+    off = np.cumsum([0] + [n[a] * block[max_degree - a].stop for a in range(max_degree + 1)])
+    ia, ib, ic = (np.empty(off[-1], dtype=np.int64) for _ in range(3))
+    w = np.empty(off[-1], dtype=np.float64)
+    cols, weights = np.arange(block[-1].stop)[:, None], np.ones((block[-1].stop, 1))
+    for db, rb in enumerate(block):
+        if db:
+            j, up = last[rb], parent[rb]
+            rows, prev = block[max_degree - db].stop, up - block[db - 1].start
+            moved = cols[:rows, prev]
+            cols = src[j, moved]
+            weights = weights[:rows, prev] * factor[j, moved] / factor[j, up]
+        for da, ra in enumerate(block[: max_degree - db + 1]):
+            at = slice(off[da] + n[da] * rb.start, off[da] + n[da] * rb.stop)
+            ia[at].reshape(n[da], -1)[:] = np.arange(ra.start, ra.stop)[:, None]
+            ib[at].reshape(n[da], -1)[:] = np.arange(rb.start, rb.stop)
+            ic[at].reshape(n[da], -1)[:] = cols[ra]
+            w[at].reshape(n[da], -1)[:] = weights[ra]
     return _frozen(ia, ib, ic, w)
 
 
@@ -268,3 +270,17 @@ def derivative_table(dim: int, max_degree: int):
     src = np.cumsum(counts[suffix + 1, cols] - counts[suffix, cols], axis=1)
     src += np.arange(len(lower))[:, None]
     return _frozen(np.ascontiguousarray(src.T), np.ascontiguousarray(lower.T + 1.0))
+
+
+@lru_cache(maxsize=None)
+def power_tree(dim: int, max_degree: int):
+    """(parent, last) over the graded positions up to max_degree: each beta
+    but the root is parent[beta] + e_j, j = last[beta] its last nonzero
+    coordinate; the root reads (0, 0).  The largest code j * width + t of a
+    shift alpha_t + e_j = beta names that j: `np.maximum.at` takes it, where
+    fancy assignment leaves which of several repeated writes wins undefined."""
+    src, _ = derivative_table(dim, max_degree)
+    code = np.zeros(count_indices(dim, max_degree), dtype=np.int64)
+    np.maximum.at(code, src, np.arange(src.size).reshape(src.shape))
+    last, parent = divmod(code, max(src.shape[1], 1))
+    return _frozen(parent, last)

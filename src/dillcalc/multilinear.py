@@ -47,8 +47,8 @@ class SymmetricMultilinear:
     def entry(self, out: int, t: tuple[int, ...]) -> complex:
         """The entry at the coordinate tuple t, in any order: the rank of its
         multiplicity vector inside the degree-`arity` block."""
-        dim = self.domain.dim
-        if len(t) != self.arity or not all(0 <= i < dim for i in t):
+        dim, out = self.domain.dim, series._check_out(out, self.codomain.dim)
+        if len(t) != self.arity or not all(series._is_coordinate(i, dim) for i in t):
             raise KeyError(f"{tuple(t)} is not a tuple of {self.arity} coordinates below {dim}")
         pos = mi.rank(np.bincount(np.array(t, dtype=np.int64), minlength=dim))
         return complex(self.entries[out, pos - mi.degree_slice(dim, self.arity).start])
@@ -59,8 +59,8 @@ class SymmetricMultilinear:
         The weight of the entry at alpha is the coefficient of y^alpha in
         prod_s <v_s, y>, which sums prod_s v_s[i_s] over the ordered
         coordinate tuples with multiplicity vector alpha; so the value is the
-        entries against the degree-k block of that product, k - 1 Cauchy
-        products of linear forms.
+        entries against that product: v_1 shifted by v_2 .. v_k in turn,
+        y^alpha y_i = y^(alpha + e_i) read from `multiindex.derivative_table`.
         """
         vecs = [np.asarray(a, dtype=np.complex128).reshape(-1) for a in args]
         if len(vecs) != self.arity:
@@ -71,13 +71,13 @@ class SymmetricMultilinear:
                 raise ValueError(f"argument has dimension {v.size}, expected {dim}")
         if self.arity == 0:
             return self.entries[:, 0].copy()
-        product = None
-        for v in vecs:
-            coeffs = np.zeros((1, mi.count_indices(dim, self.arity)), dtype=np.complex128)
-            coeffs[0, mi.degree_slice(dim, 1)] = v
-            form = TruncatedSeries(self.domain, FiniteSpace(1), self.arity, coeffs)
-            product = form if product is None else product.pointwise_multiply(form)
-        return self.entries @ product.coeffs[0, mi.degree_slice(dim, self.arity)]
+        src, _ = mi.derivative_table(dim, self.arity)
+        product = vecs[0]
+        for k, v in enumerate(vecs[1:], start=1):
+            shifted = np.zeros(mi.count_indices(dim, k + 1), dtype=np.complex128)
+            np.add.at(shifted, src[:, mi.degree_slice(dim, k)], v[:, None] * product)
+            product = shifted[mi.degree_slice(dim, k + 1)]
+        return self.entries @ product
 
 
 def _homogeneous_arity(f: TruncatedSeries, arity: int | None) -> int:

@@ -12,8 +12,8 @@ checked: the series and distribution JSON loaders and the term language's
 coefficient maps all build through it.
 
 Truncation degrees are capped at MAX_DEGREE, a constant: up to that degree
-the weights of `multiindex.convolution_table`, read from an int64 Pascal
-table, are exact, and far above it they wrap.  Every other size is decided
+the weights of `multiindex.convolution_table`, integers built up in float64,
+are exact, and far above it they round.  Every other size is decided
 by SIZE_BUDGET: a coefficient table may hold at most that many entries,
 codomain dimension times `count_indices`, and the constructors check that
 before they allocate, so an oversized request fails at once instead of
@@ -62,9 +62,15 @@ def _check_size(dom_dim: int, cod_dim: int, degree: int) -> int:
     return n_idx
 
 
+def _is_coordinate(i, dim: int) -> bool:
+    """The one coordinate rule, for domain coordinates and output components
+    alike: an integer by `mi._is_integer`, 0 <= i < dim."""
+    return mi._is_integer(i) and 0 <= i < dim
+
+
 def _check_out(j, cod_dim: int) -> int:
-    """The one output-component rule: an integer by `mi._is_integer`, 0 <= j < cod_dim."""
-    if not (mi._is_integer(j) and 0 <= j < cod_dim):
+    """An output component by `_is_coordinate`, as a Python int."""
+    if not _is_coordinate(j, cod_dim):
         raise ValueError(f"output component {j} out of range")
     return int(j)
 
@@ -326,45 +332,39 @@ class TruncatedSeries:
 
         Row r belongs to the r-th multi-index beta of the graded order on the
         codomain and holds the coefficients of g^beta, truncated at this
-        series' degree.  Row beta is its parent beta - e_j, with j the last
-        nonzero coordinate of beta, times g_j.  With j outer and |beta| inner
-        every parent is built before it is read, and each batch of rows is one
-        Cauchy product by g_j: the product triples sorted by target position,
-        restricted to the nonzero entries of g_j and of the parents, summed
-        with reduceat.  Only the triples kept for g_j are sorted, stably, so
-        they keep the order the full table would give them.
+        series' degree.  Row beta is row parent[beta] = beta - e_j times g_j,
+        with j = last[beta] (`multiindex.power_tree`).  With j outer and |beta|
+        inner every parent is built before it is read, and each batch of rows
+        is one Cauchy product by g_j: the product triples sorted by target
+        position, restricted to the nonzero entries of g_j and of the parents,
+        summed with reduceat.  Only the triples kept for g_j are sorted,
+        stably, so they keep the order the full table would give them.
         """
         n = self.codomain.dim
-        exps = mi.exponent_matrix(n, max_exponent)[1:]
-        last = n - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
-        parents = exps.copy()
-        parents[np.arange(len(exps)), last] -= 1
-        parent = mi.rank(parents)
-        degree = exps.sum(axis=1)
-        rows = np.arange(1, len(exps) + 1)
-
+        parent, last = mi.power_tree(n, max_exponent)
         ia, ib, ic = mi.product_table(self.domain.dim, self.degree)
-        table = np.zeros((len(exps) + 1, self.coeffs.shape[1]), dtype=np.complex128)
+        table = np.zeros((len(parent), self.coeffs.shape[1]), dtype=np.complex128)
         table[0, 0] = 1.0
         for j in range(n):
             keep = np.flatnonzero((self.coeffs[j] != 0)[ib])
             keep = keep[np.argsort(ic[keep], kind="stable")]
             ja, jc, jw = ia[keep], ic[keep], self.coeffs[j, ib[keep]]
             for k in range(1, max_exponent + 1):
-                batch = (last == j) & (degree == k)
-                src = table[parent[batch]]
+                block = mi.degree_slice(n, k)
+                rows = block.start + np.flatnonzero(last[block] == j)
+                src = table[parent[rows]]
                 live = np.any(src != 0, axis=0)[ja]
                 a, c, w = ja[live], jc[live], jw[live]
                 if a.size:
                     starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-                    table[rows[batch, None], c[starts]] = np.add.reduceat(
+                    table[rows[:, None], c[starts]] = np.add.reduceat(
                         src[:, a] * w, starts, axis=1
                     )
         return table
 
     def partial_derivative(self, coord: int) -> "TruncatedSeries":
         """d/dx_coord, one degree lower; the derivative of a degree-0 table is zero."""
-        if not 0 <= coord < self.domain.dim:
+        if not _is_coordinate(coord, self.domain.dim):
             raise ValueError(f"coordinate {coord} out of range for dimension {self.domain.dim}")
         if self.degree == 0:
             return TruncatedSeries.zero(self.domain.dim, self.codomain.dim, 0)

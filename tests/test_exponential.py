@@ -732,6 +732,32 @@ def test_bang_linear_at_degree_0_is_the_identity():
     np.testing.assert_array_equal(op.matrix, [[1.0]])
 
 
+_WIDE_BANG_LINEAR = """
+import numpy as np
+from dillcalc import exponential as xp
+from dillcalc import multiindex as mi
+op = xp.bang_linear(np.ones((1, 30000)), 1)
+assert op.matrix.shape == (2, 30001), op.matrix.shape
+row_0, row_1 = op.matrix
+assert row_0.tolist() == [1] + [0] * 30000 and row_1.tolist() == [0] + [1] * 30000
+assert len(mi.product_table(30000, 1)[0]) == 60001
+"""
+
+
+def test_wide_bang_linear_reads_no_exponent_table_of_its_degree():
+    # a 1 x 30000 matrix at degree 1 is a 2 x 30001 operator; the pair tables
+    # behind its power table once unranked a 30001 x 30000 exponent table
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_BANG_LINEAR],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def full_sort_power_table(g, max_exponent):
     """The power table built by sorting the whole product table by target once,
     then filtering it for each g_j: the construction the shipped one must match."""

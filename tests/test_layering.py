@@ -2,8 +2,10 @@
 multi-index module itself calls the tuple views of the enumeration or reads
 its Pascal table, no module lists sorted coordinate tuples, and only the
 multi-index module states the dimension rule; the check-only routes walk
-exponent rows too.  The join of (row, col, value) triples lives in
-`LinearOperator` alone.  No module reads the environment.  Importing the
+exponent rows too.  Only `rank`, `unrank` and the shift table
+(`derivative_table`) read the rank formula's suffix sums and Pascal table,
+and series.py ranks only in `from_terms`.  The join of (row, col, value)
+triples lives in `LinearOperator` alone.  No module reads the environment.  Importing the
 package and its CLI loads neither the law harness nor the term language, and
 the law harness never loads numpy.random."""
 
@@ -19,9 +21,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dillcalc"
 GUARDED = {"indices_of_degree", "enumerate_indices", "index_positions"}
 
 
-def guarded_calls(path, guarded=GUARDED):
-    """(called name, enclosing function names) of every call in a file to a
-    name in `guarded`, as a function or a method."""
+def enclosed(path, pick):
+    """(name, enclosing function names) of every node of a file for which
+    `pick` gives a name, in the order of a walk of the tree."""
     found = []
 
     def walk(node, stack):
@@ -29,15 +31,38 @@ def guarded_calls(path, guarded=GUARDED):
             inner = stack
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = stack + (child.name,)
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in guarded:
-                    found.append((name, inner))
+            name = pick(child)
+            if name is not None:
+                found.append((name, inner))
             walk(child, inner)
 
     walk(ast.parse(path.read_text(encoding="utf-8")), ())
     return found
+
+
+def _called(node):
+    """The name a call calls, as a function or a method."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return None
+
+
+def _read(node):
+    """The name a node reads: bare, as an attribute or imported."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def guarded_calls(path, guarded=GUARDED):
+    """(called name, enclosing function names) of every call in a file to a
+    name in `guarded`, as a function or a method."""
+    return [(name, stack) for name, stack in enclosed(path, _called) if name in guarded]
 
 
 def test_runtime_modules_do_not_walk_the_enumeration():
@@ -73,11 +98,8 @@ def name_reads(path, name):
     """Line numbers in a file of every read of `name`: bare, as an attribute
     or imported."""
     return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == name)
-        or (isinstance(node, ast.Attribute) and node.attr == name)
-        or (isinstance(node, ast.alias) and node.name == name)
+        node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _read(node) == name
     )
 
 
@@ -97,6 +119,27 @@ def test_only_the_index_layer_decides_the_graded_order():
     assert stated == ["multiindex.py"]
 
 
+def test_one_formula_adds_multi_indices():
+    # the rank formula's suffix sums and Pascal table are read by rank, unrank
+    # and the shift table alone: the pair tables and the power tree walk the
+    # shift table, and series.py ranks only the keys from_terms is given
+    readers = sorted(
+        {
+            (path.name, ".".join(stack))
+            for path in sorted(SRC.glob("*.py"))
+            for name, stack in enclosed(path, _read)
+            if name in ("_suffix", "_counts")
+        }
+    )
+    assert readers == [
+        ("multiindex.py", "derivative_table"),
+        ("multiindex.py", "rank"),
+        ("multiindex.py", "unrank"),
+    ]
+    ranks = guarded_calls(SRC / "series.py", {"rank"})
+    assert ranks == [("rank", ("TruncatedSeries", "from_terms"))]
+
+
 def test_the_name_guard_sees_every_form(tmp_path):
     snippet = tmp_path / "snippet.py"
     snippet.write_text(
@@ -106,6 +149,11 @@ def test_the_name_guard_sees_every_form(tmp_path):
         "    return _counts\n"
     )
     assert name_reads(snippet, "_counts") == [1, 2, 4]
+    assert [(n, stack) for n, stack in enclosed(snippet, _read) if n == "_counts"] == [
+        ("_counts", ()),
+        ("_counts", ()),
+        ("_counts", ("f",)),
+    ]
 
 
 def test_only_the_operator_module_joins_triples():

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from dillcalc import multiindex as mi
 from dillcalc.series import MAX_DEGREE
 
-from brute import iter_indices
+from brute import graded_order, iter_indices
 
 
 def test_count_matches_binomial():
@@ -123,8 +123,8 @@ def test_product_table_complete_and_consistent():
 
 
 def test_convolution_table_weights():
-    # the weights come from an int64 Pascal table: exact up to the degree cap,
-    # wrapped far above it, which is why the cap is a constant
+    # the weights are integers built up in float64: exact up to the degree
+    # cap, rounded far above it, which is why the cap is a constant
     for dim, deg in [(2, 2), (1, MAX_DEGREE), (2, MAX_DEGREE), (3, MAX_DEGREE)]:
         ia, ib, _, w = mi.convolution_table(dim, deg)
         rows = mi.exponent_matrix(dim, deg).tolist()
@@ -165,6 +165,25 @@ def test_derivative_table_matches_manual():
     assert empty_src.shape == empty_factor.shape == (2, 0)
     for table in (src, factor, empty_src, empty_factor):
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "dim, deg", [(d, k) for d in range(1, 5) for k in range(7)] + [(15, 2)]
+)
+def test_power_tree_matches_the_brute_graded_order(dim, deg):
+    # beta's parent is beta - e_j, j the last nonzero coordinate; the root
+    # reads (0, 0)
+    order = graded_order(dim, deg)
+    position = {beta: p for p, beta in enumerate(order)}
+    parent, last = mi.power_tree(dim, deg)
+    assert (parent.dtype, last.dtype) == (np.int64, np.int64)
+    assert (parent[0], last[0]) == (0, 0)
+    for p, beta in enumerate(order[1:], start=1):
+        j = max(i for i, e in enumerate(beta) if e)
+        assert last[p] == j
+        assert parent[p] == position[beta[:j] + (beta[j] - 1,) + beta[j + 1 :]]
+    assert len(parent) == len(last) == len(order)
+    assert not parent.flags.writeable and not last.flags.writeable
 
 
 def test_numpy_views_are_frozen():

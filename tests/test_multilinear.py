@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import resource
 import subprocess
 import sys
@@ -150,18 +151,25 @@ def test_apply_matches_the_ordered_tuple_expansion():
 
 
 _WIDE_APPLY = """
+import tracemalloc
 import numpy as np
 from dillcalc import multilinear as ml
 from dillcalc.series import TruncatedSeries
 f = TruncatedSeries.from_terms(10, 1, 8, {(0, (8,) + (0,) * 9): 1.0})
-value = ml.from_monomial(f).apply([np.eye(10)[0]] * 8)
+tensor = ml.from_monomial(f)
+tracemalloc.start()
+value = tensor.apply([np.eye(10)[0]] * 8)
+peak = tracemalloc.get_traced_memory()[1]
 assert value.tolist() == [1.0], value
+assert peak <= 32 * 2**20, peak
 """
 
 
 def test_apply_builds_no_table_of_ordered_tuples():
     # x_0^8 on C^10 is a 24310-entry tensor; apply once listed all 10^8
-    # ordered tuples of 8 coordinates
+    # ordered tuples of 8 coordinates, and then read the 3.1 M triples of
+    # the whole product table (192 MiB traced) where shifts by one linear
+    # form at a time need the 10 x 19448 shift table
     limit = 2 * 2**30
     proc = subprocess.run(
         [sys.executable, "-c", _WIDE_APPLY],
@@ -251,3 +259,37 @@ def test_entry_reads_the_sorted_tuple_in_any_order():
             if arity:
                 with pytest.raises(KeyError):
                     tensor.entry(0, (dim,) * arity)  # coordinate out of range
+
+
+_TENSOR = ml.SymmetricMultilinear(2, FiniteSpace(2), FiniteSpace(2), [[1, 2, 3], [4, 5, 6]])
+_SERIES = TruncatedSeries.from_terms(2, 1, 2, {(0, (1, 1)): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _SERIES.partial_derivative(True), ValueError, "coordinate True out of range"),
+        (lambda: _SERIES.partial_derivative(1.0), ValueError, "coordinate 1.0 out of range"),
+        (lambda: _SERIES.partial_derivative(np.bool_(True)), ValueError, "coordinate True"),
+        (lambda: _TENSOR.entry(0, (0.0, 1)), KeyError, "coordinates below 2"),
+        (lambda: _TENSOR.entry(0, (True, 1)), KeyError, "coordinates below 2"),
+        (lambda: _TENSOR.entry(-1, (0, 1)), ValueError, "output component -1 out of range"),
+        (lambda: _TENSOR.entry(2, (0, 1)), ValueError, "output component 2 out of range"),
+        (lambda: _TENSOR.entry(1.0, (0, 1)), ValueError, "output component 1.0 out of range"),
+    ],
+    ids=[
+        "diff-bool", "diff-float", "diff-numpy-bool",
+        "entry-float-coordinate", "entry-bool-coordinate",
+        "entry-negative-out", "entry-out-past-codomain", "entry-float-out",
+    ],
+)
+def test_one_coordinate_rule(call, error, message):
+    # True once read as coordinate 1 in a table-shape error, 1.0 raised
+    # IndexError, and entry(-1, t) and entry(0, (0.0, 1)) read an entry
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integer_coordinates_are_accepted():
+    assert _SERIES.partial_derivative(np.int64(1)).coefficient(0, (1, 0)) == 1.0
+    assert _TENSOR.entry(np.int8(1), (np.int64(1), 0)) == 5.0

@@ -130,6 +130,17 @@ def _swap_rows_1_2(rows):
     return rows
 
 
+def _swap_last_parents(tree):
+    # from dimension 2 on, the last two rows share the top degree block and,
+    # above degree 1, have different parents: each now grows from the
+    # other's.  At dimension 1 the last row's parent is the row before it,
+    # in another block, and the tree is left alone
+    parent, last = (np.array(arr) for arr in tree)
+    if parent[-1] < len(parent) - 2:
+        parent[[-2, -1]] = parent[[-1, -2]]
+    return parent, last
+
+
 def _uncommuted(table):
     # the first pair (alpha, e_0) with alpha != 0 reads e_1 instead, while
     # its mirror (e_0, alpha) stays: a * b and b * a now differ
@@ -154,6 +165,7 @@ ROWS = {
         _table(3, lambda w: _bumped(w, at=w.size // 2, by=1.0)),
     ),
     "derivative_table": ("multiindex.derivative_table", _table(0, _move_derivative_source)),
+    "power_tree": ("multiindex.power_tree", _result(_swap_last_parents)),
     "power_table": ("series.TruncatedSeries.power_table", _result(_bumped)),
     "contraction": ("exponential.contraction", _operator(_set(0, -1))),
     "cocontraction": ("exponential.cocontraction", _operator(_bump_largest)),
@@ -211,6 +223,7 @@ KERNELS = [
     "multiindex.product_table",
     "multiindex.convolution_table",
     "multiindex.derivative_table",
+    "multiindex.power_tree",
     "series.TruncatedSeries.power_table",
     "exponential.contraction",
     "exponential.cocontraction",
