@@ -14,11 +14,12 @@ Conventions for the operator matrices:
 * a map out of a tensor basis truncates: any image index of total degree
   above the target degree is dropped to 0;
 * the structure maps (dereliction, digging, weakening, contraction,
-  cocontraction, m2, the swap) are sparse scatters of index tables, built
-  from their nonzero entries; coweakening, codereliction and m2's inverse are
-  their transposes.  `LinearOperator` is the one place that computes on
-  (row, col, value) triples (`act`, `@`, `.T`, `-`), and a tensor product
-  of maps is two `act`s; promotion and the adjunction are dense;
+  cocontraction, m2) are sparse scatters of index tables, built from their
+  nonzero entries; coweakening, codereliction and m2's inverse are their
+  transposes, and the swap sigma is `swap` on the identity.  `LinearOperator`
+  is the one place that computes on (row, col, value) triples (`act`,
+  `swap`, `@`, `.T`, `-`), and a tensor product of maps is two `act`s;
+  promotion and the adjunction are dense;
 * the structural laws are checked on the sub-basis where the truncated maps
   are exact; the law harness states each restriction explicitly.
 """
@@ -175,7 +176,8 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     binom_componentwise(alpha, beta) eps_(alpha+beta), truncated at the degree."""
     if (d1.dim, d1.degree) != (d2.dim, d2.degree):
         raise ValueError("distribution shapes differ: cannot convolve")
-    ia, ib, ic, w = mi.convolution_table(d1.dim, d1.degree)
+    tops = mi.top_degrees(d1.dim, d1.coeffs, d2.coeffs)
+    ia, ib, ic, w = mi.convolution_table(d1.dim, d1.degree, *tops)
     out = np.zeros_like(d1.coeffs)
     np.add.at(out, ic, w * d1.coeffs[ia] * d2.coeffs[ib])
     return Distribution(d1.dim, d1.degree, out)
@@ -391,6 +393,22 @@ class LinearOperator:
         rows = (head[i] * self.target.size + a_rows[j]) * after + tail[i]
         return LinearOperator._from_triples(x.source, target, rows, cols[i], vals[i] * a_vals[j])
 
+    def swap(self, left: int, right: int, after: int = 1) -> "LinearOperator":
+        """(1 (x) sigma (x) 1_after) self, sigma exchanging the adjacent target
+        slots of sizes left and right above trailing factors of total size
+        `after`: a permutation of the row indices.  A whole TensorBasis pair
+        becomes the swapped pair, any other target the plain C^k of its size."""
+        t = self.target
+        if t.size % (left * right * after):
+            raise ValueError(f"no slots of sizes {left}, {right} in {t} above size {after}")
+        rows, cols, vals = self.entries()
+        a, b = np.divmod(rows // after % (left * right), right)
+        # the pair (a, b) at a * right + b moves to b * left + a
+        rows = rows + (b * (left - 1) - a * (right - 1)) * after
+        pair = isinstance(t, TensorBasis) and (t.left.size, t.right.size) == (left, right)
+        target = TensorBasis(t.right, t.left) if pair else VectorBasis(t.size)
+        return LinearOperator.from_entries(self.source, target, rows, cols, vals)
+
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if other.target != self.source:
             raise ValueError(
@@ -562,14 +580,8 @@ def monoidal_product_inverse(dim_e: int, dim_f: int, degree: int) -> LinearOpera
 
 
 def swap_operator(left: Basis, right: Basis) -> LinearOperator:
-    i, j = np.divmod(np.arange(left.size * right.size), right.size)
-    return LinearOperator.from_entries(
-        TensorBasis(left, right),
-        TensorBasis(right, left),
-        j * left.size + i,
-        i * right.size + j,
-        np.ones(i.size),
-    )
+    """sigma: left (x) right -> right (x) left, `swap` on the identity."""
+    return LinearOperator.identity(TensorBasis(left, right)).swap(left.size, right.size)
 
 
 def codereliction_operator(dim: int, degree: int) -> LinearOperator:

@@ -34,10 +34,10 @@ at most 2, and `monoidality-strength` at dims (1,1) and degree at most 2.
 The bialgebra, monoidality, comonad and codereliction laws are matrix
 equations on the shipped maps (Delta, nabla, e, m0, m2 and its inverse, rho,
 epsilon and codereliction), written with `LinearOperator`'s `act` (a tensor
-factor 1 (x) A (x) 1 on one slot), `@`, `.T` and `-`.  These join the
-(row, col, value) triples the maps are built from, and the swap sigma is a
-permutation of row indices, so no dense structure map, Kronecker product or
-swap matrix is built and the laws cost about as much as the maps they read.
+factor 1 (x) A (x) 1 on one slot), `swap` (sigma on two slots), `@`, `.T`
+and `-`.  These join or permute the (row, col, value) triples the maps are
+built from, so no dense structure map, Kronecker product or sigma matrix is
+built and the laws cost about as much as the maps they read.
 
 The multi-index laws check the index kernels the package runs, with numpy
 over whole tables: `multiindex-count` that `rank` numbers the rows of
@@ -259,17 +259,6 @@ def _deviation(lhs: xp.LinearOperator, rhs: xp.LinearOperator) -> float:
     return _max_abs((lhs - rhs).entries()[2])
 
 
-def _swap(x: xp.LinearOperator, left: int, right: int, after: int = 1) -> xp.LinearOperator:
-    """(1 (x) sigma (x) 1_after) x, sigma exchanging adjacent slots of sizes
-    left and right, as a permutation of x's row indices.  x's target is kept,
-    so the two slots must hold the same space."""
-    rows, cols, vals = x.entries()
-    a, b = np.divmod(rows // after % (left * right), right)
-    # the pair (a, b) at a * right + b moves to b * left + a
-    rows = rows + (b * (left - 1) - a * (right - 1)) * after
-    return xp.LinearOperator.from_entries(x.source, x.target, rows, cols, vals)
-
-
 def _comonoid_deviation(delta, assoc, unit) -> float:
     """Worst deviation in (assoc (x) 1) delta = (1 (x) delta) delta,
     (unit (x) 1) delta = 1 = (1 (x) unit) delta and sigma delta = delta, for
@@ -280,7 +269,7 @@ def _comonoid_deviation(delta, assoc, unit) -> float:
         _deviation(assoc.act(delta, after=n), delta.act(delta)),
         _deviation(unit.act(delta, after=n), ident),
         _deviation(unit.act(delta), ident),
-        _deviation(_swap(delta, n, n), delta),
+        _deviation(delta.swap(n, n), delta),
     )
 
 
@@ -741,7 +730,7 @@ def _law_bialgebra_compat(config: LawConfig, rng) -> Tuple[float, float, dict]:
     # one name for the right-hand side, so each step frees the one before it
     rhs = delta.act(restrict, after=n)
     rhs = delta.act(rhs)
-    rhs = _swap(rhs, n, n, after=n)
+    rhs = rhs.swap(n, n, after=n)
     rhs = nabla.act(rhs, after=n * n)
     rhs = nabla.act(rhs)
     return _deviation(lhs, rhs), TOL_EXACT, {

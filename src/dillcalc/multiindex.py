@@ -196,36 +196,43 @@ def degree_vector(dim: int, max_degree: int) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(dim: int, max_degree: int):
-    """(ia, ib, ic, w) over all pairs alpha_ia + alpha_ib = alpha_ic, all <= max_degree,
-    with w = binom_componentwise(alpha_ia, alpha_ib).
+def top_degrees(dim: int, *tables) -> tuple:
+    """For each coefficient table, the least degree d whose first
+    count_indices(dim, d) positions hold every nonzero entry along its last axis."""
+    lasts = [np.nonzero(table)[-1].max(initial=-1) for table in tables]
+    return tuple(next(d for d in range(last + 2) if count_indices(dim, d) > last) for last in lasts)
 
-    One walk over the degrees db of beta writes each block (da, db),
+
+@lru_cache(maxsize=None)
+def _pair_tables(dim: int, max_degree: int, top_a: int, top_b: int):
+    """(ia, ib, ic, w) over all pairs alpha_ia + alpha_ib = alpha_ic, all <= max_degree,
+    with |alpha_ia| <= top_a, |alpha_ib| <= top_b and w = binom_componentwise(alpha_ia, alpha_ib).
+
+    One walk over the degrees db <= top_b of beta writes each block (da, db),
     da + db <= max_degree, straight into the output, da-major and ia-major
     inside a block.  Column beta holds rank(alpha + beta) and the weight for
-    every alpha with |alpha| <= max_degree - db: the column of its parent
-    beta - e_j, j = last beta, moved through the shift table, the weight
+    every alpha with |alpha| <= min(top_a, max_degree - db): the column of its
+    parent beta - e_j, j = last beta, moved through the shift table, the weight
     times (alpha_j + beta_j) / beta_j from `factor`, exact since weights are
     integers.  Only the previous degree's columns are kept.
     """
-    src, factor = derivative_table(dim, max_degree)
-    parent, last = power_tree(dim, max_degree)
+    src, factor = derivative_table(dim, min(max_degree, top_a + top_b))
+    parent, last = power_tree(dim, min(max_degree, top_a + top_b))
     block = [degree_slice(dim, d) for d in range(max_degree + 1)]
     n = [r.stop - r.start for r in block]
-    # block (da, db) follows the n[a] * count(max_degree - a) pairs of each a < da
-    off = np.cumsum([0] + [n[a] * block[max_degree - a].stop for a in range(max_degree + 1)])
+    # block (da, db) follows the n[a] * count(min(top_b, max_degree - a)) pairs of each a < da
+    off = np.cumsum([0] + [n[a] * block[min(top_b, max_degree - a)].stop for a in range(top_a + 1)])
     ia, ib, ic = (np.empty(off[-1], dtype=np.int64) for _ in range(3))
     w = np.empty(off[-1], dtype=np.float64)
-    cols, weights = np.arange(block[-1].stop)[:, None], np.ones((block[-1].stop, 1))
-    for db, rb in enumerate(block):
+    cols, weights = np.arange(block[top_a].stop)[:, None], np.ones((block[top_a].stop, 1))
+    for db, rb in enumerate(block[: top_b + 1]):
         if db:
             j, up = last[rb], parent[rb]
-            rows, prev = block[max_degree - db].stop, up - block[db - 1].start
+            rows, prev = block[min(top_a, max_degree - db)].stop, up - block[db - 1].start
             moved = cols[:rows, prev]
             cols = src[j, moved]
             weights = weights[:rows, prev] * factor[j, moved] / factor[j, up]
-        for da, ra in enumerate(block[: max_degree - db + 1]):
+        for da, ra in enumerate(block[: min(top_a, max_degree - db) + 1]):
             at = slice(off[da] + n[da] * rb.start, off[da] + n[da] * rb.stop)
             ia[at].reshape(n[da], -1)[:] = np.arange(ra.start, ra.stop)[:, None]
             ib[at].reshape(n[da], -1)[:] = np.arange(rb.start, rb.stop)
@@ -235,18 +242,17 @@ def _pair_tables(dim: int, max_degree: int):
 
 
 @lru_cache(maxsize=None)
-def product_table(dim: int, max_degree: int):
-    """Index triples (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic, all <= max_degree.
-
-    Drives truncated Cauchy products: c[ic] += a[ia] * b[ib].
-    """
-    return _pair_tables(dim, max_degree)[:3]
+def product_table(dim: int, max_degree: int, top_a: float = math.inf, top_b: float = math.inf):
+    """Index triples (ia, ib, ic) with alpha_ia + alpha_ib = alpha_ic, all <= max_degree,
+    |alpha_ia| <= top_a and |alpha_ib| <= top_b: c[ic] += a[ia] * b[ib] is a Cauchy
+    product, and the `top_degrees` of a and b drop only pairs that multiply a zero."""
+    return _pair_tables(dim, max_degree, min(top_a, max_degree), min(top_b, max_degree))[:3]
 
 
 @lru_cache(maxsize=None)
-def convolution_table(dim: int, max_degree: int):
+def convolution_table(dim: int, max_degree: int, top_a: float = math.inf, top_b: float = math.inf):
     """The product_table triples with the weight binom_componentwise(alpha_ia, alpha_ib)."""
-    return _pair_tables(dim, max_degree)
+    return _pair_tables(dim, max_degree, min(top_a, max_degree), min(top_b, max_degree))
 
 
 @lru_cache(maxsize=None)

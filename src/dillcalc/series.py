@@ -322,7 +322,7 @@ class TruncatedSeries:
         deg = min(self.degree, other.degree)
         a = self.truncate(deg).coeffs[0]
         b = other.truncate(deg).coeffs[0]
-        ia, ib, ic = mi.product_table(self.domain.dim, deg)
+        ia, ib, ic = mi.product_table(self.domain.dim, deg, *mi.top_degrees(self.domain.dim, a, b))
         out = np.zeros(mi.count_indices(self.domain.dim, deg), dtype=np.complex128)
         np.add.at(out, ic, a[ia] * b[ib])
         return TruncatedSeries(self.domain, FiniteSpace(1), deg, out[None, :])
@@ -342,7 +342,8 @@ class TruncatedSeries:
         """
         n = self.codomain.dim
         parent, last = mi.power_tree(n, max_exponent)
-        ia, ib, ic = mi.product_table(self.domain.dim, self.degree)
+        (top,) = mi.top_degrees(self.domain.dim, self.coeffs)
+        ia, ib, ic = mi.product_table(self.domain.dim, self.degree, self.degree, top)
         table = np.zeros((len(parent), self.coeffs.shape[1]), dtype=np.complex128)
         table[0, 0] = 1.0
         for j in range(n):

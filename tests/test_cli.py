@@ -383,6 +383,47 @@ def test_wide_distribution_json_unranks_only_its_nonzero_positions(tmp_path):
     assert data["coeffs"] == [{"alpha": unit, "re": 3.0, "im": 0.0}]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+_X0_ON_C20 = "(series :dom 20 :cod 1 :deg 8 {(" + " ".join(["1"] + ["0"] * 19) + ") -> 1})"
+
+
+@pytest.mark.parametrize(
+    "program,want",
+    [
+        (f"(mul {_X0_ON_C20} {_X0_ON_C20})", {2: 1.0}),
+        (
+            f"(compose (series :dom 1 :cod 1 :deg 8 {{(1) -> 1 (2) -> 3}}) {_X0_ON_C20})",
+            {1: 1.0, 2: 3.0},
+        ),
+    ],
+    ids=["mul", "compose"],
+)
+def test_wide_products_pair_only_the_degrees_their_operands_reach(tmp_path, program, want):
+    # x_0 on C^20 at degree 8: the full pair table, 377 348 994 pairs, once
+    # made both exit 2 with a MemoryError; the operands reach degree 1 only
+    path = tmp_path / "wide.dsl"
+    path.write_text(program + "\n")
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", "eval", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(proc.stdout, parse_constant=_refuse_constant)
+    assert (data["domain_dim"], data["degree"]) == (20, 8)
+    got = {}
+    for term in data["coeffs"]:
+        assert term["alpha"][1:] == [0] * 19 and term["im"] == 0.0
+        got[term["alpha"][0]] = term["re"]
+    assert got == want
+
+
 def test_diff_checks_the_coordinate_at_degree_zero(tmp_path, capsys):
     # a degree-0 series once gave a zero derivative for any coordinate
     f = series_file(tmp_path, "c.json", 2, 1, 0, {(0, (0, 0)): 1.0})

@@ -436,6 +436,9 @@ _PROGRAMS = st.lists(
 @example(["(dirac [" + "0 " * 80 + "] 8)"])
 # a 3003 x 3003 promotion matrix: it once ran for 12 s and built 144 MB
 @example(["(bang (series :dom 6 :cod 6 :deg 8 {(1 0 0 0 0 0) -> 1} {} {} {} {} {}) 8)"])
+# x_0 times x_0 on C^16: the full degree-8 pair table, 76 904 685 pairs, once
+# raised a MemoryError; the operands reach degree 1 only
+@example(["(let x (series :dom 16 :cod 1 :deg 8 {(1" + " 0" * 15 + ") -> 1}))", "(mul x x)"])
 def test_fuzz_terms_raise_only_parse_or_eval_errors(forms):
     text = _PRELUDE + "\n".join(forms)
     try:

@@ -427,6 +427,18 @@ def test_swap_operator_involution():
     np.testing.assert_array_equal((s_back @ s).matrix, np.eye(b1.size * b2.size))
 
 
+def test_swap_targets_and_slots():
+    # a whole pair is swapped, any other target is the plain C^k of its size
+    b1, b2 = xp.DistBasis(1, 2), xp.VectorBasis(2)
+    pair = xp.LinearOperator.identity(xp.TensorBasis(b1, b2))
+    assert pair.swap(3, 2).target == xp.TensorBasis(b2, b1)
+    assert pair.swap(2, 3).target == xp.VectorBasis(6)
+    assert pair.swap(3, 1, after=2).target == xp.VectorBasis(6)
+    assert pair.swap(3, 2).source == pair.source
+    with pytest.raises(ValueError, match="no slots of sizes 2, 2"):
+        pair.swap(2, 2)
+
+
 def _random_operator(rng, source, target, entry_built):
     """A random operator with small Gaussian-integer entries, about half of
     them zero, built from its dense matrix or from its nonzero entries.

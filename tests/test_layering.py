@@ -5,7 +5,8 @@ multi-index module states the dimension rule; the check-only routes walk
 exponent rows too.  Only `rank`, `unrank` and the shift table
 (`derivative_table`) read the rank formula's suffix sums and Pascal table,
 and series.py ranks only in `from_terms`.  The join of (row, col, value)
-triples lives in `LinearOperator` alone.  No module reads the environment.  Importing the
+triples lives in `LinearOperator` alone, and other modules read an operator's
+entries only as values.  No module reads the environment.  Importing the
 package and its CLI loads neither the law harness nor the term language, and
 the law harness never loads numpy.random."""
 
@@ -166,6 +167,48 @@ def test_only_the_operator_module_joins_triples():
     ]
     assert offenders == []
     assert guarded_calls(SRC / "exponential.py", {"searchsorted"})
+
+
+def triple_reads(path):
+    """Line numbers in a file of every read of an operator's rows and columns:
+    each `entries()` call not indexed [2] (the values), and each `_triples` read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    values = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 2
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (_called(node) == "entries" and id(node) not in values) or _read(node) == "_triples"
+    )
+
+
+def test_only_the_operator_module_reads_rows_and_columns():
+    # sigma and every other re-indexing of triples is a LinearOperator method
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exponential.py"
+        for line in triple_reads(path)
+    ]
+    assert offenders == []
+
+
+def test_the_triple_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "rows, cols, vals = op.entries()\n"
+        "vals = op.entries()[2]\n"
+        "rows = op.entries()[0]\n"
+        "triples = op._triples()\n"
+        "def f(op):\n"
+        "    return op.entries()\n"
+    )
+    assert triple_reads(snippet) == [1, 3, 4, 6]
 
 
 def environment_reads(path):

@@ -151,6 +151,33 @@ def test_pair_tables_build_without_pair_sized_temporaries():
     assert peak <= 2 * sum(a.nbytes for a in out)
 
 
+@pytest.mark.parametrize("dim,deg", [(2, 4), (3, 6), (15, 4)])
+def test_width_limited_tables_filter_the_full_table(dim, deg):
+    # tops bound |alpha_ia| and |alpha_ib|; the kept pairs stay in full-table order
+    full = mi.convolution_table(dim, deg)
+    degree = mi.degree_vector(dim, deg)
+    for top_a in range(deg + 1):
+        for top_b in range(deg + 1):
+            keep = (degree[full[0]] <= top_a) & (degree[full[1]] <= top_b)
+            got = mi.convolution_table(dim, deg, top_a, top_b) + mi.product_table(
+                dim, deg, top_a, top_b
+            )
+            assert len(got) == 7
+            for arr, want in zip(got, full + full[:3]):
+                np.testing.assert_array_equal(arr, want[keep])
+    assert mi.convolution_table(dim, deg, deg, deg)[0] is full[0]
+
+
+def test_top_degrees():
+    coeffs = np.zeros((2, mi.count_indices(3, 4)), dtype=np.complex128)
+    assert mi.top_degrees(3, coeffs, coeffs[0]) == (0, 0)
+    coeffs[0, 0] = np.nan
+    coeffs[1, mi.degree_slice(3, 2).stop - 1] = -0.5
+    assert mi.top_degrees(3, coeffs, coeffs[0], coeffs[1]) == (2, 0, 2)
+    coeffs[0, -1] = 1e-300
+    assert mi.top_degrees(3, coeffs[:, :1], coeffs) == (0, 4)
+
+
 def test_derivative_table_matches_manual():
     dim, deg = 2, 3
     src, factor = mi.derivative_table(dim, deg)

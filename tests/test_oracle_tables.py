@@ -114,6 +114,23 @@ def test_swap_operator(dim, deg):
         np.testing.assert_array_equal(xp.swap_operator(left, right).matrix, want)
 
 
+@pytest.mark.parametrize("before,left,right,after", [(2, 3, 2, 2), (3, 2, 4, 5), (2, 1, 3, 3)])
+def test_swap_at_an_inner_slot(before, left, right, after):
+    # sigma exchanging the slots left (x) right inside before (x) . (x) after,
+    # against the explicit permutation kron(I_before, P, I_after)
+    perm = np.zeros((left * right, left * right))
+    for i in range(left):
+        for j in range(right):
+            perm[j * left + i, i * right + j] = 1.0
+    size = before * left * right * after
+    dense = (np.arange(size * 4) % 7).reshape(size, 4) * (1 - 2j)
+    x = xp.LinearOperator(xp.VectorBasis(4), xp.VectorBasis(size), dense)
+    got = x.swap(left, right, after)
+    want = np.kron(np.kron(np.eye(before), perm), np.eye(after)) @ dense
+    assert (got.source, got.target) == (x.source, xp.VectorBasis(size))
+    np.testing.assert_array_equal(got.matrix, want)
+
+
 @pytest.mark.parametrize("dim,deg", [(1, 3), (2, 2)])
 def test_comultiplication(dim, deg):
     inner = graded_order(dim, deg)
