@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from dillcalc import calculus as ca
 from dillcalc import dsl
 from dillcalc import multiindex as mi
 from dillcalc.cli import main
@@ -253,6 +254,34 @@ def test_check_laws_unknown_law_runs_none(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown law 'nope'\n"
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_check_laws_json_writes_a_nan_error_as_null(monkeypatch, capsys):
+    # one NaN coefficient in every composite: chain-rule's error is NaN, and
+    # the reports are still printed, as strict JSON
+    compose = ca.compose
+
+    def crooked(*args, **kwargs):
+        h = compose(*args, **kwargs)
+        coeffs = np.array(h.coeffs)
+        coeffs.reshape(-1)[-1] = np.nan
+        return TruncatedSeries(h.domain, h.codomain, h.degree, coeffs)
+
+    monkeypatch.setattr(ca, "compose", crooked)
+    assert main(["check-laws", "--dim", "1", "--deg", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = {r["name"]: r for r in _strict_json(captured.out)}
+    assert list(reports) == law_names()
+    assert reports["chain-rule"]["max_error"] is None
+    assert reports["chain-rule"]["passed"] is False
 
 
 def test_series_json_shape_is_stable(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
+import inspect
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -7,7 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from dillcalc import exponential as xp
 from dillcalc import laws
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_laws.py"
 
 EXPECTED_LAWS = [
     "multiindex-count",
@@ -54,6 +60,8 @@ EXPECTED_LAWS = [
 def test_registry_is_complete():
     assert laws.law_names() == EXPECTED_LAWS
     assert len(set(EXPECTED_LAWS)) == len(EXPECTED_LAWS)
+    # a law yields its sides; only the harness measures them
+    assert all(inspect.isgeneratorfunction(fn) for fn, _ in laws.LAWS.values())
 
 
 def test_default_suite_passes():
@@ -185,7 +193,7 @@ def test_run_laws_script_sweeps_clean(tmp_path):
     proc = subprocess.run(
         [
             sys.executable,
-            str(pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_laws.py"),
+            str(SCRIPT),
             *("--dims", "1", "2", "--degrees", "2", "3", "--json", str(out)),
         ],
         capture_output=True,
@@ -210,3 +218,77 @@ def test_run_laws_script_sweeps_clean(tmp_path):
         assert r["passed"], r
         per_config[(r["dim"], r["degree"])] = per_config.get((r["dim"], r["degree"]), 0) + 1
     assert per_config == {(d, k): len(EXPECTED_LAWS) for d in (1, 2) for k in (2, 3)}
+
+
+# -- the harness: a toy law put into the registry yields the given pairs
+
+
+def _toy_law(monkeypatch, *pairs):
+    def sides(config, rng):
+        yield from pairs
+
+    monkeypatch.setitem(laws.LAWS, "toy", (sides, 1e-12))
+    return laws.run_law("toy", laws.LawConfig())
+
+
+_PAIR = xp.VectorBasis(2)
+_IDENT = xp.LinearOperator.identity(_PAIR)
+_CROOKED = xp.LinearOperator.from_entries(_PAIR, _PAIR, [0, 1], [0, 1], [1.0, np.nan])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(np.nan, 0.0), (5.0, 0.0)],
+        [(5.0, 0.0), (np.nan, 0.0)],
+        [(0.0, 0.0), (np.zeros(3), np.array([0.0, np.nan, 1.0]))],
+        [(np.array([1.0, np.nan]), np.ones(2)), (1.0, 1.0)],
+        [(_IDENT, _IDENT), (_CROOKED, _IDENT)],
+        [(_IDENT, _CROOKED)],
+    ],
+    ids=["first-pair", "later-pair", "right-side", "left-side", "operator", "operator-right"],
+)
+def test_a_nan_fails_wherever_it_appears(monkeypatch, pairs):
+    # np.max keeps a NaN wherever it stands; max(worst, x) keeps it only first
+    report = _toy_law(monkeypatch, *pairs)
+    assert report.passed is False
+    assert math.isnan(report.max_error)
+    assert report.to_json_dict()["max_error"] is None
+
+
+def test_the_harness_folds_every_pair(monkeypatch):
+    report = _toy_law(monkeypatch, (_IDENT, _IDENT), (np.ones(2), np.array([1.0, 1.5])), (2, 2))
+    assert (report.max_error, report.passed) == (0.5, False)
+    assert report.params == {"dim": 2, "degree": 4}
+    assert _toy_law(monkeypatch, (_IDENT, _IDENT)).max_error == 0.0
+
+
+def test_a_law_that_compares_nothing_raises(monkeypatch):
+    with pytest.raises(RuntimeError, match="law 'toy' compared no sides"):
+        _toy_law(monkeypatch)
+
+
+def test_report_json_writes_a_non_finite_error_as_null():
+    for error in (math.nan, math.inf, -math.inf):
+        report = laws.LawReport("toy", {}, error, 1e-12, False, 1.0)
+        assert report.to_json_dict()["max_error"] is None
+        assert report.max_error is error
+
+
+def test_run_laws_script_keeps_a_nan_ratio(monkeypatch, capsys):
+    # the worst-error column folds ratios with np.max, so a NaN after a
+    # finite ratio is not dropped
+    reports = [
+        laws.LawReport("clean", {}, 1e-13, 1e-12, True, 2.0),
+        laws.LawReport("broken", {}, math.nan, 1e-12, False, 1.0),
+    ]
+    spec = importlib.util.spec_from_file_location("run_laws", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(laws, "run_suite", lambda config: reports)
+    monkeypatch.setattr(sys, "argv", ["run_laws.py", "--dims", "1", "--degrees", "1"])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "worst error at nan of tolerance" in lines[0]
+    assert lines[0].endswith("FAIL broken")
+    assert lines[-1] == "sweep failed"

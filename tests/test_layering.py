@@ -6,7 +6,8 @@ exponent rows too.  Only `rank`, `unrank` and the shift table
 (`derivative_table`) read the rank formula's suffix sums and Pascal table,
 and series.py ranks only in `from_terms`.  The join of (row, col, value)
 triples lives in `LinearOperator` alone, and other modules read an operator's
-entries only as values.  No module reads the environment.  Importing the
+entries only as values.  Only the law harness's `run_law` measures a law's
+sides.  No module reads the environment.  Importing the
 package and its CLI loads neither the law harness nor the term language, and
 the law harness never loads numpy.random."""
 
@@ -141,6 +142,17 @@ def test_one_formula_adds_multi_indices():
     assert ranks == [("rank", ("TruncatedSeries", "from_terms"))]
 
 
+def readers(path, name):
+    """The enclosing function names of every read of `name` in a file."""
+    return [stack for found, stack in enclosed(path, _read) if found == name]
+
+
+def test_only_the_harness_measures_a_law():
+    # a law yields its sides and run_law compares them, so no law body folds
+    # its own error
+    assert readers(SRC / "laws.py", "_deviation") == [("run_law",)]
+
+
 def test_the_name_guard_sees_every_form(tmp_path):
     snippet = tmp_path / "snippet.py"
     snippet.write_text(
@@ -148,6 +160,10 @@ def test_the_name_guard_sees_every_form(tmp_path):
         "TABLE = mi._counts(4, 3)\n"
         "def f():\n"
         "    return _counts\n"
+        "@law('toy', 0.0)\n"
+        "def _law_toy(config, rng):\n"
+        "    yield 0.0, 0.0\n"
+        "    errors = [laws._deviation(a, b) for a, b in pairs]\n"
     )
     assert name_reads(snippet, "_counts") == [1, 2, 4]
     assert [(n, stack) for n, stack in enclosed(snippet, _read) if n == "_counts"] == [
@@ -155,6 +171,7 @@ def test_the_name_guard_sees_every_form(tmp_path):
         ("_counts", ()),
         ("_counts", ("f",)),
     ]
+    assert readers(snippet, "_deviation") == [("_law_toy",)]
 
 
 def test_only_the_operator_module_joins_triples():

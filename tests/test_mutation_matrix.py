@@ -7,7 +7,8 @@ to, and on its class for a method.  Under each row every law runs at 2/4, one
 at a time; a law that raises counts as failing.  The matrix asserts that every
 row fails some law, that every law fails under some row, that the cases of the
 older hand-written corruption tests are still caught by the laws they named,
-and that the laws a row failed pass again once it is undone.
+that a NaN result fails the laws it reaches, and that the laws a row failed
+pass again once it is undone.
 
 A new kernel or law adds one row to ROWS (and a kernel its name to KERNELS).
 """
@@ -191,6 +192,7 @@ ROWS = {
     "bang_map": ("exponential.bang_map", _operator(_set(0, -1))),
     "bang_linear": ("exponential.bang_linear", _operator(_set(0, -1))),
     "compose": ("calculus.compose", _series(_bumped)),
+    "compose-nan": ("calculus.compose", _series(lambda c: _bumped(c, by=np.nan))),
     "compose_naive": ("calculus.compose_naive", _series(_bumped)),
     "curry": ("calculus.curry", _result(_bump_last_inner)),
     "uncurry": ("calculus.uncurry", _series(_bumped)),
@@ -198,6 +200,7 @@ ROWS = {
     "truncate": ("series.TruncatedSeries.truncate", _series(_bumped)),
     "homogeneous_part": ("series.TruncatedSeries.homogeneous_part", _series(_bumped)),
     "evaluate": ("series.TruncatedSeries.evaluate", _result(_bumped)),
+    "evaluate-nan": ("series.TruncatedSeries.evaluate", _result(lambda v: v * np.nan)),
     "evaluate_many": ("series.TruncatedSeries.evaluate_many", _result(_bumped)),
     # values only shrinking: the one change the sampled Cauchy bound can see
     "evaluate_many-shrinking": ("series.TruncatedSeries.evaluate_many", _result(lambda v: 0.5 * v)),
@@ -392,6 +395,27 @@ def test_a_crooked_swap_fails_every_law_through_sigma(matrix):
     failed, raised, _ = matrix["LinearOperator.swap"]
     named = ["bialgebra-contraction-laws", "bialgebra-cocontraction-laws", "bialgebra-compatibility"]
     assert sorted(set(named) - failed) == [], f"laws that raised: {sorted(raised)}"
+
+
+# Laws a NaN result reaches.  A fold such as max(worst, x), which keeps a NaN
+# only when it comes first, passes each of them.
+NAN_CASES = {
+    "evaluate-nan": [
+        "dirac-evaluates",
+        "theta-extracts",
+        "curry-evaluation",
+        "curry-split-slot-reference",
+        "multilinear-diagonal-roundtrip",
+        "adjunction-extractor-expansion",
+    ],
+    "compose-nan": ["chain-rule"],
+}
+
+
+@pytest.mark.parametrize("row", list(NAN_CASES))
+def test_a_nan_fails_every_law_it_reaches(matrix, row):
+    failed, raised, _ = matrix[row]
+    assert sorted(set(NAN_CASES[row]) - failed) == [], f"laws that raised: {sorted(raised)}"
 
 
 def test_failed_laws_pass_once_each_row_is_undone(matrix):
