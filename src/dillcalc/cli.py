@@ -3,20 +3,27 @@
 Subcommands: eval, fmt, compose, curry, diff, check-laws.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 on success, 1 on user errors
 (unreadable input, malformed terms, failing laws), 2 on internal errors.
+With --timings, one more stderr line gives the wall time of the command's
+import, read, compute and write stages.
+
+A subcommand imports what it computes with when it runs, and nothing is
+imported before: fmt, and eval of a program that does not parse, load only
+the standard-library reader (dillcalc.syntax); eval then loads the evaluator
+and numpy, compose, curry and diff the calculus, check-laws the law harness.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import sys
+import time
+from contextlib import contextmanager
 from typing import List, Optional
 
-import numpy as np
-
-from . import calculus as ca
-from .series import TruncatedSeries
+_STAGES = ("import", "read", "compute", "write")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,6 +34,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+class _Run:
+    """The stages of one command: their wall times, and the imports."""
+
+    def __init__(self, freeze: bool):
+        self.freeze = freeze
+        self.seconds = dict.fromkeys(_STAGES, 0.0)
+
+    @contextmanager
+    def stage(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - start
+
+    def load(self, *names: str) -> list:
+        """The named dillcalc modules.  On the process entry path the objects
+        made so far, numpy's and the package's included, then move into the
+        permanent generation: no collection scans them again, the final one
+        at interpreter exit included, which otherwise takes tens of
+        milliseconds of every short command."""
+        with self.stage("import"):
+            modules = [importlib.import_module(f"{__package__}.{name}") for name in names]
+        if self.freeze:
+            gc.freeze()
+        return modules
+
+    def report(self) -> str:
+        return "timings_ms " + " ".join(f"{k}={1000 * v:.1f}" for k, v in self.seconds.items())
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -34,7 +72,9 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _read_series(path: str) -> TruncatedSeries:
+def _read_series(path: str):
+    from .series import TruncatedSeries
+
     return TruncatedSeries.from_json(_read_text(path))
 
 
@@ -46,85 +86,109 @@ def _write_out(text: str, out: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
-def _finite(command: str, compute):
-    """compute(), with an overflow reported as one error line naming the
-    command (the term language's rule), not as numpy warnings followed by a
-    JSON error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ca._finite_result(command, compute())
+def _finite(run: _Run, command: str, compute):
+    """compute() as the compute stage, with an overflow reported as one error
+    line naming the command (the term language's rule), not as numpy warnings
+    followed by a JSON error."""
+    import numpy as np
+
+    from .calculus import _finite_result
+
+    with run.stage("compute"), np.errstate(over="ignore", invalid="ignore"):
+        return _finite_result(command, compute())
 
 
-def _cmd_eval(args) -> int:
-    from . import dsl
-
-    forms = dsl.parse_program(_read_text(args.file))
-    _, last = dsl.evaluate_program(forms)
+def _cmd_eval(args, run: _Run) -> int:
+    # the program is read before the evaluator is imported, so a program
+    # that does not parse never loads numpy
+    (syntax,) = run.load("syntax")
+    with run.stage("read"):
+        forms = syntax.parse_program(_read_text(args.file))
+    (dsl,) = run.load("dsl")
+    with run.stage("compute"):
+        _, last = dsl.evaluate_program(forms)
     if last is not None:
-        _write_out(dsl.value_to_json(last), args.output)
+        with run.stage("write"):
+            _write_out(dsl.value_to_json(last), args.output)
     return 0
 
 
-def _cmd_fmt(args) -> int:
-    from . import dsl
-
-    forms = dsl.parse_program(_read_text(args.file))
-    sys.stdout.write(dsl.format_program(forms))
+def _cmd_fmt(args, run: _Run) -> int:
+    (syntax,) = run.load("syntax")
+    with run.stage("read"):
+        forms = syntax.parse_program(_read_text(args.file))
+    with run.stage("write"):
+        sys.stdout.write(syntax.format_program(forms))
     return 0
 
 
-def _cmd_compose(args) -> int:
-    f = _read_series(args.outer)
-    g = _read_series(args.inner)
-    h = _finite("compose", lambda: ca.compose(f, g, outer_polynomial=args.poly))
-    _write_out(h.to_json(), args.output)
+def _cmd_compose(args, run: _Run) -> int:
+    (ca,) = run.load("calculus")
+    with run.stage("read"):
+        f = _read_series(args.outer)
+        g = _read_series(args.inner)
+    h = _finite(run, "compose", lambda: ca.compose(f, g, outer_polynomial=args.poly))
+    with run.stage("write"):
+        _write_out(h.to_json(), args.output)
     return 0
 
 
-def _cmd_curry(args) -> int:
-    f = _read_series(args.series)
-    c = _finite("curry", lambda: ca.curry(f, args.split))
-    _write_out(json.dumps(c.to_json_dict(), allow_nan=False), args.output)
+def _cmd_curry(args, run: _Run) -> int:
+    (ca,) = run.load("calculus")
+    with run.stage("read"):
+        f = _read_series(args.series)
+    c = _finite(run, "curry", lambda: ca.curry(f, args.split))
+    with run.stage("write"):
+        _write_out(json.dumps(c.to_json_dict(), allow_nan=False), args.output)
     return 0
 
 
-def _cmd_diff(args) -> int:
-    f = _read_series(args.series)
+def _cmd_diff(args, run: _Run) -> int:
+    (ca,) = run.load("calculus")
+    with run.stage("read"):
+        f = _read_series(args.series)
     if args.coord is not None:
-        d = _finite("diff", lambda: f.partial_derivative(args.coord))
+        d = _finite(run, "diff", lambda: f.partial_derivative(args.coord))
     else:
-        d = _finite("diff", lambda: ca.derivative_series(f))
-    _write_out(d.to_json(), args.output)
+        d = _finite(run, "diff", lambda: ca.derivative_series(f))
+    with run.stage("write"):
+        _write_out(d.to_json(), args.output)
     return 0
 
 
-def _cmd_check_laws(args) -> int:
-    from . import laws as laws_mod
-
-    seed = {} if args.seed is None else {"seed": args.seed}
-    config = laws_mod.LawConfig(dim=args.dim, degree=args.deg, **seed)
-    names = args.law if args.law else None
-    for name in names or ():
-        if name not in laws_mod.LAWS:
-            raise ValueError(f"unknown law {name!r}")
-    reports = laws_mod.run_suite(config, names)
-    if args.json:
-        sys.stdout.write(
-            json.dumps([r.to_json_dict() for r in reports], allow_nan=False) + "\n"
-        )
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
+def _cmd_check_laws(args, run: _Run) -> int:
+    (laws_mod,) = run.load("laws")
+    with run.stage("read"):
+        seed = {} if args.seed is None else {"seed": args.seed}
+        config = laws_mod.LawConfig(dim=args.dim, degree=args.deg, **seed)
+        names = args.law if args.law else None
+        for name in names or ():
+            if name not in laws_mod.LAWS:
+                raise ValueError(f"unknown law {name!r}")
+    with run.stage("compute"):
+        reports = laws_mod.run_suite(config, names)
+    with run.stage("write"):
+        if args.json:
             sys.stdout.write(
-                f"{status} {r.name:40s} max_error={r.max_error:.3e} "
-                f"tolerance={r.tolerance:.0e} ({r.runtime_ms:.1f} ms)\n"
+                json.dumps([r.to_json_dict() for r in reports], allow_nan=False) + "\n"
             )
-        failed = sum(1 for r in reports if not r.passed)
-        sys.stdout.write(f"{len(reports) - failed}/{len(reports)} laws passed\n")
+        else:
+            for r in reports:
+                status = "PASS" if r.passed else "FAIL"
+                sys.stdout.write(
+                    f"{status} {r.name:40s} max_error={r.max_error:.3e} "
+                    f"tolerance={r.tolerance:.0e} ({r.runtime_ms:.1f} ms)\n"
+                )
+            failed = sum(1 for r in reports if not r.passed)
+            sys.stdout.write(f"{len(reports) - failed}/{len(reports)} laws passed\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dillcalc", description=__doc__)
+    parser.add_argument(
+        "--timings", action="store_true", help="write the wall time of each stage to stderr"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a term file and print the last value")
@@ -166,30 +230,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None, *, freeze: bool = False) -> int:
+    """Run one command.  With `freeze`, as on the process entry path, the
+    heap is frozen after the command's imports; otherwise the caller's
+    collector is left alone."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = _Run(freeze)
     try:
-        return args.func(args)
+        return args.func(args, run)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.timings:
+            print(run.report(), file=sys.stderr)
 
 
 def entry() -> int:
-    """Process entry point of `python -m dillcalc` and the `dillcalc` script.
-
-    Moves the objects made by importing numpy and the package into the
-    permanent generation before running `main`: no collection scans them
-    again, the final one at interpreter exit included, which otherwise takes
-    tens of milliseconds of every short command.  An in-process `main(argv)`
-    call leaves the caller's collector alone.
-    """
-    gc.freeze()
-    return main()
+    """Process entry point of `python -m dillcalc` and the `dillcalc` script."""
+    return main(freeze=True)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .series import (
-    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _json_int,
+    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _json_header,
     _json_terms, _monomials_at,
 )
 
@@ -134,14 +134,10 @@ class Distribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Distribution":
-        try:
-            dim = _json_int(data["dim"], "dim")
-            degree = _json_int(data["degree"], "degree")
-            raw = data.get("coeffs", [])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed distribution JSON: {exc}") from exc
+        dim, degree = _json_header(data, "distribution", ("dim", "degree"))
+        terms = _json_terms(data.get("coeffs", []), "distribution")
         # a distribution is stored as the coefficient row of a scalar series
-        row = TruncatedSeries.from_terms(dim, 1, degree, _json_terms(raw, "distribution"))
+        row = TruncatedSeries.from_terms(dim, 1, degree, terms)
         return cls(dim, degree, row.coeffs[0])
 
 

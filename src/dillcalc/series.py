@@ -105,6 +105,29 @@ def _json_float(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+_JSON_TYPES = {
+    type(None): "null", list: "list", str: "string", bool: "boolean", int: "number", float: "number"
+}
+
+
+def _json_header(data, kind: str, keys) -> list:
+    """The integer fields `keys` of a series or distribution JSON object; a
+    top level that is not an object, or a missing or non-integer field, is a
+    ValueError."""
+    if not isinstance(data, dict):
+        got = _JSON_TYPES.get(type(data), type(data).__name__)
+        raise ValueError(f"malformed {kind} JSON: top level must be an object, got {got}")
+    fields = []
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"malformed {kind} JSON: missing key {key!r}")
+        try:
+            fields.append(_json_int(data[key], key))
+        except ValueError as exc:
+            raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+    return fields
+
+
 def _json_terms(raw, kind: str) -> dict:
     """The `coeffs` list of a series or distribution JSON as {(out, alpha): value};
     a malformed item, a repeated key or a non-finite value is a ValueError."""
@@ -432,14 +455,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedSeries":
-        try:
-            dom = _json_int(data["domain_dim"], "domain_dim")
-            cod = _json_int(data["codomain_dim"], "codomain_dim")
-            degree = _json_int(data["degree"], "degree")
-            raw = data.get("coeffs", [])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed series JSON: {exc}") from exc
-        return cls.from_terms(dom, cod, degree, _json_terms(raw, "series"))
+        dom, cod, degree = _json_header(data, "series", ("domain_dim", "codomain_dim", "degree"))
+        return cls.from_terms(dom, cod, degree, _json_terms(data.get("coeffs", []), "series"))
 
     @classmethod
     def from_json(cls, text: str) -> "TruncatedSeries":

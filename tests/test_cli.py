@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from dillcalc import multiindex as mi
 from dillcalc.cli import main
 from dillcalc.laws import law_names
 from dillcalc.series import TruncatedSeries
+from test_layering import run_module
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "dsl_examples"
 
@@ -112,6 +114,46 @@ def test_in_process_main_leaves_the_collector_alone(capsys):
     assert main(["check-laws", "--dim", "1", "--deg", "1", "--law", "multiindex-count"]) == 0
     assert main(["eval", str(EXAMPLES / "theta.dsl")]) == 0
     assert gc.get_freeze_count() == 0
+
+
+def test_the_entry_freezes_the_numpy_heap(tmp_path):
+    # the entry freezes after the command's imports, so the frozen heap
+    # holds at least what importing numpy makes
+    bare = subprocess.run(
+        [sys.executable, "-c", "import gc, numpy; gc.freeze(); print(gc.get_freeze_count())"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    floor = int(bare.stdout)
+    for argv in (
+        ["eval", str(EXAMPLES / "theta.dsl")],
+        ["check-laws", "--dim", "1", "--deg", "1", "--law", "multiindex-count"],
+    ):
+        code, state = run_module(tmp_path, *argv)
+        assert code == 0, argv
+        assert state["numpy"] and state["frozen"] >= floor, (argv, state, floor)
+
+
+_TIMINGS = re.compile(r"timings_ms import=\d+\.\d read=\d+\.\d compute=\d+\.\d write=\d+\.\d\n")
+
+
+@pytest.mark.parametrize("command", ["fmt", "compose"])
+def test_timings_add_one_stderr_line(tmp_path, command):
+    if command == "fmt":
+        src = tmp_path / "prog.dsl"
+        src.write_text("(add,  [1 0],[0 1]) ; comment\n")
+        argv = ["fmt", str(src)]
+    else:
+        f = series_file(tmp_path, "f.json", 1, 1, 4, {(0, (2,)): 1.0})
+        g = series_file(tmp_path, "g.json", 1, 1, 4, {(0, (1,)): 1.0, (0, (2,)): 1.0})
+        argv = ["compose", str(f), str(g)]
+    plain = run_cli(*argv)
+    timed = run_cli("--timings", *argv)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (timed.returncode, timed.stdout) == (plain.returncode, plain.stdout)
+    assert _TIMINGS.fullmatch(timed.stderr), timed.stderr
 
 
 # -- in-process coverage of the subcommands -----------------------------------
@@ -592,6 +634,31 @@ def test_series_json_malformed_item_exits_1(tmp_path, capsys, coeffs, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed series JSON: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "top level must be an object, got list"),
+        ("null", "top level must be an object, got null"),
+        ('"f"', "top level must be an object, got string"),
+        ("1.5", "top level must be an object, got number"),
+        ('{"domain_dim": 1, "degree": 2}', "missing key 'codomain_dim'"),
+        ('{"codomain_dim": 1, "degree": 2}', "missing key 'domain_dim'"),
+        ('{"domain_dim": 1, "codomain_dim": 1}', "missing key 'degree'"),
+    ],
+    ids=["list", "null", "string", "number", "no-codomain", "no-domain", "no-degree"],
+)
+def test_series_json_top_level_shape_exits_1(tmp_path, capsys, text, message):
+    # these once read as Python's own words: list indices must be integers,
+    # 'NoneType' object is not subscriptable, or the bare key 'codomain_dim'
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["diff", str(path)], ["compose", str(path), str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed series JSON: {message}\n"
 
 
 _BOUND = (

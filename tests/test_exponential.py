@@ -223,6 +223,40 @@ def test_distribution_json_header_must_be_integers(header, message):
         xp.Distribution.from_json_dict(dict(header, coeffs=[]))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1], "top level must be an object, got list"),
+        (None, "top level must be an object, got null"),
+        ("dim", "top level must be an object, got string"),
+        (2, "top level must be an object, got number"),
+        ({"degree": 2}, "missing key 'dim'"),
+        ({"dim": 2}, "missing key 'degree'"),
+    ],
+    ids=["list", "null", "string", "number", "no-dim", "no-degree"],
+)
+def test_distribution_json_top_level_shape(data, message):
+    # these once read as Python's own words: list indices must be integers,
+    # 'NoneType' object is not subscriptable, or the bare key 'dim'
+    with pytest.raises(ValueError) as info:
+        xp.Distribution.from_json_dict(data)
+    assert str(info.value) == f"malformed distribution JSON: {message}"
+
+
+def test_series_and_distribution_json_share_one_shape_rule():
+    for load, kind, first in [
+        (TruncatedSeries.from_json_dict, "series", "domain_dim"),
+        (xp.Distribution.from_json_dict, "distribution", "dim"),
+    ]:
+        for data, message in [
+            ([], "top level must be an object, got list"),
+            ({}, f"missing key {first!r}"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                load(data)
+            assert str(info.value) == f"malformed {kind} JSON: {message}"
+
+
 def test_extractor_and_coefficient_refuse_non_integral_exponents():
     # extractor((1.5, 0), 3) once returned eps_(1,0)
     d = xp.codereliction(np.array([2.0, -1j]), 3)

@@ -7,16 +7,25 @@ exponent rows too.  Only `rank`, `unrank` and the shift table
 and series.py ranks only in `from_terms`.  The join of (row, col, value)
 triples lives in `LinearOperator` alone, and other modules read an operator's
 entries only as values.  Only the law harness's `run_law` measures a law's
-sides.  No module reads the environment.  Importing the
-package and its CLI loads neither the law harness nor the term language, and
-the law harness never loads numpy.random."""
+sides.  No module reads the environment.
+
+What a process loads: `import dillcalc` loads no submodule and no numpy, and
+its public names are found on first use.  The reader and formatter
+(`syntax.py`) import the standard library alone, so `dillcalc fmt`, an
+`eval` of a program that does not parse, `--help` and a usage error never
+load numpy.  Importing the package and its CLI loads neither the law harness
+nor the term language, and the law harness never loads numpy.random."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import dillcalc
 from dillcalc import laws
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dillcalc"
@@ -295,3 +304,102 @@ def test_check_laws_runs_without_numpy_random():
     )
     count = len(laws.law_names())
     assert _run_probe(probe) == f"0 {count}/{count} laws passed False"
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    probe = (
+        "import sys, dillcalc; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('dillcalc.')))"
+    )
+    assert _run_probe(probe) == "[]"
+
+
+def test_every_public_name_resolves_on_first_use():
+    listed = dir(dillcalc)
+    for name in dillcalc.__all__:
+        assert getattr(dillcalc, name) is not None, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dillcalc.no_such_name
+
+
+# `python -m dillcalc ARGS...`, with an atexit hook that records, after the
+# command and its output, whether numpy was loaded and the collector's
+# permanent generation size
+_MODULE_WRAPPER = (
+    "import atexit, gc, json, runpy, sys\n"
+    "def report(path=sys.argv.pop(1)):\n"
+    "    with open(path, 'w') as handle:\n"
+    "        json.dump({'numpy': 'numpy' in sys.modules, 'frozen': gc.get_freeze_count()}, handle)\n"
+    "atexit.register(report)\n"
+    "runpy.run_module('dillcalc', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_module(tmp_path, *argv):
+    """(exit code, {"numpy": loaded, "frozen": freeze count}) of one fresh
+    `python -m dillcalc` process."""
+    state = tmp_path / "state.json"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_WRAPPER, str(state), *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, json.loads(state.read_text())
+
+
+def test_reading_and_formatting_never_load_numpy(tmp_path):
+    program = tmp_path / "prog.dsl"
+    program.write_text("(let f (series :dom 1 :cod 1 :deg 2 {(1) -> 1.0}))\n(diff f)\n")
+    broken = tmp_path / "broken.dsl"
+    broken.write_text("(let f (series :dom 1 :cod 1 :deg 2 {(1) -> 1.0}))\n(diff f) @\n")
+    runs = {
+        "fmt": (["fmt", str(program)], 0),
+        "eval of a parse error": (["eval", str(broken)], 1),
+        "--help": (["--help"], 0),
+        "usage error": (["eval"], 1),
+    }
+    for what, (argv, code) in runs.items():
+        got, state = run_module(tmp_path, *argv)
+        assert (got, state["numpy"]) == (code, False), what
+
+
+def non_stdlib_imports(path):
+    """(line, module) of every import in a file that is not of a
+    standard-library module, relative imports included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_the_reader_imports_only_the_standard_library():
+    assert non_stdlib_imports(SRC / "syntax.py") == []
+
+
+def test_the_stdlib_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "import re, numpy as np\n"
+        "from . import series\n"
+        "from .calculus import compose\n"
+        "from dataclasses import dataclass\n"
+        "def f():\n"
+        "    import scipy.sparse\n"
+    )
+    assert non_stdlib_imports(snippet) == [
+        (1, "numpy"), (2, "."), (3, ".calculus"), (6, "scipy.sparse")
+    ]
