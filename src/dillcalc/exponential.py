@@ -158,7 +158,7 @@ def theta(order: int, x, degree: int) -> Distribution:
     """
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     degree = _check_degree(degree)
-    if not 0 <= order <= degree:
+    if not (mi._is_integer(order) and 0 <= order <= degree):
         raise ValueError(f"extractor order {order} outside 0..{degree}")
     dim = x.size
     _check_size(dim, 1, degree)

@@ -51,8 +51,9 @@ over whole tables: `multiindex-count` that `rank` numbers the rows of
 prod_i C(a_i + b_i, a_i), computed from factorials, and are symmetric under
 a <-> b.  The inner nabla of `bialgebra-cocontraction-laws` is rebuilt the
 same way, with positions from a dict over the exponent rows, not from `rank`.
-The derivative table is checked through `partial_derivative` by
-`series-directional-finite-difference` and `chain-rule`.
+The derivative table is checked through `directional_derivative` by
+`series-directional-finite-difference` and through `partial_derivative` by
+`chain-rule`.
 
 Laws resolve `compose`, the structure maps and the index kernels through the
 calculus, exponential and multiindex module objects at call time, so a

@@ -19,7 +19,9 @@ src[i, t] = rank(alpha_t + e_i), which applies the `rank` formula to
 shifted suffix sums.  `power_tree` reads each parent beta - e_j off it, and
 the product and convolution tables walk that tree, moving columns of pairs
 through the shift table: no summed exponent row is formed, and no exponent
-row above degree max_degree - 1 is read.
+row above degree max_degree - 1 is read.  The same walk gives the point
+monomials x^beta = x^(beta - e_j) x_j of `series._monomials_at`, and
+`degree_vector` reads the sizes of the degree blocks, not exponent rows.
 The scalar API (`position_of`, `binom_componentwise`) takes any sequence of
 integers and checks it with `_checked`.  `indices_of_degree`,
 `enumerate_indices` and `index_positions` are plain-tuple views of
@@ -191,7 +193,9 @@ def exponent_matrix(dim: int, max_degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def degree_vector(dim: int, max_degree: int) -> np.ndarray:
-    v = exponent_matrix(dim, max_degree).sum(axis=1)
+    """Total degree of each graded position, read off the degree block sizes."""
+    sizes = np.diff([0] + [count_indices(dim, k) for k in range(max_degree + 1)])
+    v = np.repeat(np.arange(max_degree + 1), sizes)
     v.setflags(write=False)
     return v
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from . import multiindex as mi
 MAX_DEGREE = 8
 # entries of one coefficient table: 64 MiB of complex128
 SIZE_BUDGET = 2**22
-# coordinate powers gathered per block of points in `evaluate_many`: 64 KiB,
+# monomials computed per block of points in `evaluate_many`: 64 KiB,
 # under glibc's 128 KiB mmap threshold, so blocks reuse freed heap memory
 _POINT_BLOCK = 2**12
 
@@ -168,29 +167,22 @@ def _json_terms(raw, kind: str) -> dict:
     return terms
 
 
-@lru_cache(maxsize=None)
-def _power_positions(dim: int, degree: int):
-    """The exponents 0..degree, and for each exponent row alpha the positions
-    of x_i^alpha_i in a flattened (dim, degree + 1) table of powers."""
-    flat = mi.exponent_matrix(dim, degree) + (degree + 1) * np.arange(dim)
-    ks = np.arange(degree + 1)
-    flat.setflags(write=False)
-    ks.setflags(write=False)
-    return ks, flat
-
-
 def _monomials_at(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
     """x^alpha over the graded order for each point along the last axis of the
     complex array x: shape (..., dim) to (..., count), with 0^0 = 1.
 
-    Each coordinate's powers x_i^k, k <= degree, are computed once (numpy's
-    x^0 is exactly 1, for 0, inf and nan too), gathered by the exponent rows
-    and multiplied out with `np.prod`, so one point gets the bits of the
-    product of its coordinate powers.
+    The walk of `multiindex.power_tree`, a tree-shaped Horner scheme: x^0 = 1,
+    and degree by degree x^alpha = x^parent[alpha] * x_last[alpha], one
+    product per monomial.  A coordinate whose exponent in alpha is 0 never
+    enters x^alpha, so 0^0 = 1 holds for 0, inf and nan alike.
     """
-    ks, flat = _power_positions(dim, degree)
-    powers = x[..., None] ** ks
-    return powers.reshape(*x.shape[:-1], -1)[..., flat].prod(axis=-1)
+    parent, last = mi.power_tree(dim, degree)
+    out = np.empty((*x.shape[:-1], len(parent)), dtype=np.complex128)
+    out[..., 0] = 1.0
+    for k in range(1, degree + 1):
+        blk = mi.degree_slice(dim, k)
+        np.multiply(out.take(parent[blk], axis=-1), x.take(last[blk], axis=-1), out=out[..., blk])
+    return out
 
 
 class TruncatedSeries:
@@ -294,7 +286,7 @@ class TruncatedSeries:
                 f"points have shape {pts.shape}, expected (count, {self.domain.dim})"
             )
         out = np.empty((len(pts), self.codomain.dim), dtype=np.complex128)
-        step = max(1, _POINT_BLOCK // (self.coeffs.shape[1] * self.domain.dim))
+        step = max(1, _POINT_BLOCK // self.coeffs.shape[1])
         for start in range(0, len(pts), step):
             block = pts[start : start + step]
             out[start : start + step] = (
@@ -304,13 +296,15 @@ class TruncatedSeries:
 
     def homogeneous_part(self, k: int) -> "TruncatedSeries":
         """Series with the same degree whose only nonzero coefficients have |alpha| = k."""
-        if not 0 <= k <= self.degree:
+        if not (mi._is_integer(k) and 0 <= k <= self.degree):
             raise ValueError(f"homogeneous degree {k} outside 0..{self.degree}")
         mask = mi.degree_vector(self.domain.dim, self.degree) == k
         return TruncatedSeries(self.domain, self.codomain, self.degree, self.coeffs * mask)
 
     def truncate(self, new_degree: int) -> "TruncatedSeries":
         """Drop coefficients above new_degree; graded order makes this a prefix slice."""
+        if not mi._is_integer(new_degree):
+            raise ValueError(f"truncation degree must be an integer, got {new_degree!r}")
         if new_degree >= self.degree:
             return self
         n_idx = mi.count_indices(self.domain.dim, new_degree)

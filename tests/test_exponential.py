@@ -44,6 +44,15 @@ def test_dirac_apply_is_evaluation():
     np.testing.assert_allclose(xp.dirac(x, 4).apply(f), f.evaluate(x), atol=1e-12)
 
 
+def test_warm_dirac_peaks_below_four_outputs():
+    # the power-position kernel gathered a count x dim table of coordinate
+    # powers per point: 13 times the output at C^12, degree 6
+    x = np.linspace(0.1, 1.2, 12) + 0.5j
+    out = xp.dirac(x, 6).coeffs  # the index tables are cached, not counted
+    assert out.size == 18564
+    assert _peak_bytes(lambda: xp.dirac(x, 6)) < 4 * out.nbytes
+
+
 def test_apply_truncates_to_common_degree():
     # a degree-2 distribution sees only the degree <= 2 coefficients
     f = TruncatedSeries.from_terms(1, 1, 4, {(0, (1,)): 1.0, (0, (4,)): 100.0})

@@ -152,10 +152,22 @@ def test_batched_monomials_match_plain_tuple_products(dim):
 
 
 def _monomials_reference(x, dim, degree):
-    # the single-point formula the batched kernel replaced, kept to pin its bits
-    exps = mi.exponent_matrix(dim, degree)
-    pows = np.where(exps == 0, 1.0 + 0j, x[None, :] ** exps)
-    return np.prod(pows, axis=1)
+    """x^beta = x^(beta - e_j) * x_j, j the last nonzero coordinate of beta,
+    with each parent found by its exponent tuple.  numpy rounds a complex
+    product inside its vector loop differently from a scalar one, so each
+    degree block is one array product, as in the kernel."""
+    order = graded_order(dim, degree)
+    position = {beta: p for p, beta in enumerate(order)}
+    mono = np.ones(len(order), dtype=np.complex128)
+    for k in range(1, degree + 1):
+        block = [p for p, beta in enumerate(order) if sum(beta) == k]
+        parents, coords = [], []
+        for beta in (order[p] for p in block):
+            j = max(i for i, e in enumerate(beta) if e)
+            parents.append(position[beta[:j] + (beta[j] - 1,) + beta[j + 1 :]])
+            coords.append(j)
+        mono[block[0] : block[-1] + 1] = mono[parents] * x[coords]
+    return mono
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -182,8 +194,8 @@ def test_evaluate_many_matches_evaluate_across_blocks(monkeypatch):
         2, 3, 4, rng.uniform(-1, 1, (3, 15)) + 1j * rng.uniform(-1, 1, (3, 15))
     )
     pts = _points(rng, 11, 2)
-    # two points per block: 15 monomials times 2 coordinates each
-    monkeypatch.setattr(series, "_POINT_BLOCK", 60)
+    # two points per block: 15 monomials each
+    monkeypatch.setattr(series, "_POINT_BLOCK", 30)
     got = f.evaluate_many(pts)
     assert got.shape == (11, 3)
     for row, x in zip(got, pts):
@@ -237,6 +249,26 @@ def test_truncate_is_prefix():
     assert f.truncate(4) is f  # widening is a no-op
     with pytest.raises(ValueError):
         f.truncate(-1)
+
+
+@pytest.mark.parametrize("value", [1.5, True, 1.0, "1", None])
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda f, k: f.homogeneous_part(k), "homogeneous degree"),
+        (lambda f, k: f.truncate(k), "truncation degree must be an integer"),
+        (lambda f, k: xp.theta(k, [0.5, 2.0], 3), "extractor order"),
+    ],
+    ids=["homogeneous_part", "truncate", "theta"],
+)
+def test_degree_arguments_have_one_integer_rule(read, message, value):
+    # homogeneous_part(1.5) once returned the zero series, homogeneous_part(True)
+    # and theta(True, ...) the degree-1 part, and truncate(1.5) and theta(1.0, ...)
+    # raised TypeError from math
+    f = TruncatedSeries.from_terms(2, 1, 3, {(0, (1, 0)): 1.0, (0, (0, 1)): 2.0})
+    with pytest.raises(ValueError, match=message):
+        read(f, value)
+    read(f, np.int64(1))  # a numpy integer is an integer
 
 
 @settings(max_examples=40, deadline=None)
