@@ -10,6 +10,9 @@ coefficient, so it is rejected unless the caller declares the outer series to
 be an exact polynomial.  `compose_naive` substitutes g into each monomial of f
 with repeated truncated products and serves as the independent oracle.
 
+Currying is m2: !E (x) !F = !(E x F) on coefficients, one read of the pairs
+(alpha, beta) of `multiindex.split_table` by `curry`, `uncurry` and `evaluate`.
+
 `derivative_series` gathers every partial derivative at once through
 `multiindex.derivative_table`, the table `partial_derivative` reads one row of.
 """
@@ -143,13 +146,15 @@ class CurriedSeries:
                 )
 
     def evaluate(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128).reshape(-1)
-        if x.size != self.outer_dim:
-            raise ValueError(f"outer point has dimension {x.size}, expected {self.outer_dim}")
-        out = np.zeros(self.codomain_dim, dtype=np.complex128)
-        for mono, s in zip(_monomials_at(x, self.outer_dim, self.degree), self.inner):
-            out += mono * s.evaluate(y)
-        return out
+        """The stacked inner tables times x^alpha_i y^beta_j over the split_table pairs."""
+        points = []
+        for name, p, dim in (("outer", x, self.outer_dim), ("inner", y, self.inner_dim)):
+            p = np.asarray(p, dtype=np.complex128).reshape(-1)
+            if p.size != dim:
+                raise ValueError(f"{name} point has dimension {p.size}, expected {dim}")
+            points.append(_monomials_at(p, dim, self.degree))
+        i, j, _ = mi.split_table(self.outer_dim, self.inner_dim, self.degree)
+        return np.hstack([s.coeffs for s in self.inner]) @ (points[0][i] * points[1][j])
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,51 +169,37 @@ class CurriedSeries:
         }
 
 
-def _outer_groups(dim: int, outer_dim: int, degree: int) -> list[np.ndarray]:
-    """Positions of the graded order on C^dim grouped by their outer multi-index.
-
-    Group p holds, in increasing order, the positions of the (alpha, beta) with
-    alpha the outer index at position p on C^outer_dim.  For a fixed alpha the
-    graded order on (alpha, beta) is the graded order on beta, so group p is
-    the coefficient table of the inner series at p, column for column.
-    """
-    outer = mi.rank(mi.exponent_matrix(dim, degree)[:, :outer_dim])
-    order = np.argsort(outer, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(outer))[:-1])
+def _inner_dim(m: int, outer_dim: int) -> int:
+    """The split rule `curry` and `split_slot_reference` share: 1 <= outer_dim < m."""
+    if not 1 <= outer_dim <= m - 1:
+        raise ValueError(f"split {outer_dim} is not a proper split of a {m}-dimensional domain")
+    return m - outer_dim
 
 
 def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
     """Reindex c_(alpha, beta) into a nest over the first `outer_dim` coordinates.
 
-    Pure coefficient bookkeeping: the binomial weights of the slot-splitting
-    formula cancel against the repeated-coordinate counts of multi-index
-    storage, see `split_slot_reference` for the check.
+    Pure coefficient bookkeeping, the `split_table` positions split by alpha:
+    the binomial weights of the slot-splitting formula cancel against the
+    repeated-coordinate counts of multi-index storage (`split_slot_reference`).
     """
-    m = f.domain.dim
-    if not 1 <= outer_dim <= m - 1:
-        raise ValueError(
-            f"split {outer_dim} is not a proper split of a {m}-dimensional domain"
-        )
-    inner_dim = m - outer_dim
-    groups = _outer_groups(m, outer_dim, f.degree)
-    return CurriedSeries(
-        outer_dim,
-        inner_dim,
-        f.codomain.dim,
-        f.degree,
-        tuple(
-            TruncatedSeries(FiniteSpace(inner_dim), f.codomain, f.degree - d, f.coeffs[:, cols])
-            for d, cols in zip(mi.degree_vector(outer_dim, f.degree).tolist(), groups)
-        ),
+    inner_dim = _inner_dim(f.domain.dim, outer_dim)
+    i, _, pos = mi.split_table(outer_dim, inner_dim, f.degree)
+    groups = np.split(pos, np.flatnonzero(np.diff(i)) + 1)
+    inner = tuple(
+        TruncatedSeries(FiniteSpace(inner_dim), f.codomain, f.degree - d, f.coeffs[:, cols])
+        for d, cols in zip(mi.degree_vector(outer_dim, f.degree).tolist(), groups)
     )
+    return CurriedSeries(outer_dim, inner_dim, f.codomain.dim, f.degree, inner)
 
 
 def uncurry(c: CurriedSeries) -> TruncatedSeries:
-    """Inverse reindexing; uncurry(curry(f)) == f coefficient for coefficient."""
+    """Inverse reindexing, a scatter to the `split_table` positions;
+    uncurry(curry(f)) == f coefficient for coefficient."""
+    stacked = np.hstack([s.coeffs for s in c.inner])
+    arr = np.empty_like(stacked)
+    arr[:, mi.split_table(c.outer_dim, c.inner_dim, c.degree)[2]] = stacked
     m = c.outer_dim + c.inner_dim
-    arr = np.zeros((c.codomain_dim, mi.count_indices(m, c.degree)), dtype=np.complex128)
-    for s, cols in zip(c.inner, _outer_groups(m, c.outer_dim, c.degree)):
-        arr[:, cols] = s.coeffs
     return TruncatedSeries(FiniteSpace(m), FiniteSpace(c.codomain_dim), c.degree, arr)
 
 
@@ -222,15 +213,9 @@ def split_slot_reference(f: TruncatedSeries, outer_dim: int, x, y) -> np.ndarray
     with evaluating `curry(f, outer_dim)`.  Check routine only; the production
     path is the coefficient reindexing above.
     """
-    m_total = f.domain.dim
-    if not 1 <= outer_dim <= m_total - 1:
-        raise ValueError(
-            f"split {outer_dim} is not a proper split of a {m_total}-dimensional domain"
-        )
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    xe = np.concatenate([x, np.zeros(m_total - outer_dim, dtype=np.complex128)])
-    ye = np.concatenate([np.zeros(outer_dim, dtype=np.complex128), y])
+    inner_dim = _inner_dim(f.domain.dim, outer_dim)
+    xe = np.concatenate([np.asarray(x, dtype=np.complex128).reshape(-1), np.zeros(inner_dim)])
+    ye = np.concatenate([np.zeros(outer_dim), np.asarray(y, dtype=np.complex128).reshape(-1)])
     out = np.zeros(f.codomain.dim, dtype=np.complex128)
     for k in range(f.degree + 1):
         tensor = ml.from_monomial(f.homogeneous_part(k), k)

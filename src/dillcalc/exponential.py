@@ -241,9 +241,8 @@ def _join(left: np.ndarray, right: np.ndarray):
     keys = right[order]
     lo = np.searchsorted(keys, left, side="left")
     counts = np.searchsorted(keys, left, side="right") - lo
-    i = np.repeat(np.arange(left.size), counts)
-    first = np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return i, order[first + np.arange(i.size)]
+    i, t = mi._runs(counts)
+    return i, order[lo[i] + t]
 
 
 def _check_keys(n_rows: int, n_cols: int) -> None:
@@ -550,22 +549,14 @@ def monoidal_product(dim_e: int, dim_f: int, degree: int) -> LinearOperator:
     """m2: !E (x) !F -> !(E x F), concatenating extractor indices.
 
     Bijective between the pairs with |alpha| + |beta| <= degree and the basis
-    of the product space; pairs over the budget truncate to 0.
+    of the product space; pairs over the budget truncate to 0: a 1 at
+    (pos, i * |!F| + j) for each (i, j, pos) of `multiindex.split_table`.
     """
     degree = _check_degree(degree)
     be, bf = DistBasis(dim_e, degree), DistBasis(dim_f, degree)
-    de = mi.degree_vector(dim_e, degree)
-    df = mi.degree_vector(dim_f, degree)
-    i, j = np.nonzero(de[:, None] + df[None, :] <= degree)
-    gamma = np.hstack(
-        [mi.exponent_matrix(dim_e, degree)[i], mi.exponent_matrix(dim_f, degree)[j]]
-    )
+    i, j, pos = mi.split_table(dim_e, dim_f, degree)
     return LinearOperator.from_entries(
-        TensorBasis(be, bf),
-        DistBasis(dim_e + dim_f, degree),
-        mi.rank(gamma),
-        i * bf.size + j,
-        np.ones(i.size),
+        TensorBasis(be, bf), DistBasis(dim_e + dim_f, degree), pos, i * bf.size + j, np.ones(i.size)
     )
 
 

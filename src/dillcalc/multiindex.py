@@ -11,9 +11,10 @@ A multi-index is a row of integers, and `rank` and `unrank` are the one
 bijection between exponent rows and graded positions.  `rank` maps rows to
 positions arithmetically, from suffix sums and a cached Pascal table;
 `unrank` peels the same suffix sums off a position, and `exponent_matrix` is
-`unrank` of every position.  The exponential structure maps, currying and
-series construction scatter through `rank` or read rows of
-`exponent_matrix`; the JSON writers unrank only the positions they print.
+`unrank` of every position.  Digging and series construction scatter
+through `rank`; the JSON writers unrank only the positions they print.
+`split_table` ranks each concatenation (alpha, beta) as lead(alpha, |beta|) +
+rank(beta), one `rank` per alpha and |beta|; m2 and currying read it.
 Adding multi-indices has one formula, the shift table `derivative_table`,
 src[i, t] = rank(alpha_t + e_i), which applies the `rank` formula to
 shifted suffix sums.  `power_tree` reads each parent beta - e_j off it, and
@@ -186,18 +187,14 @@ def _frozen(*arrays):
 @lru_cache(maxsize=None)
 def exponent_matrix(dim: int, max_degree: int) -> np.ndarray:
     """Integer array of shape (count, dim); row i is the i-th multi-index."""
-    m = unrank(np.arange(count_indices(dim, max_degree)), dim, max_degree)
-    m.setflags(write=False)
-    return m
+    return _frozen(unrank(np.arange(count_indices(dim, max_degree)), dim, max_degree))[0]
 
 
 @lru_cache(maxsize=None)
 def degree_vector(dim: int, max_degree: int) -> np.ndarray:
     """Total degree of each graded position, read off the degree block sizes."""
     sizes = np.diff([0] + [count_indices(dim, k) for k in range(max_degree + 1)])
-    v = np.repeat(np.arange(max_degree + 1), sizes)
-    v.setflags(write=False)
-    return v
+    return _frozen(np.repeat(np.arange(max_degree + 1), sizes))[0]
 
 
 def top_degrees(dim: int, *tables) -> tuple:
@@ -280,6 +277,31 @@ def derivative_table(dim: int, max_degree: int):
     src = np.cumsum(counts[suffix + 1, cols] - counts[suffix, cols], axis=1)
     src += np.arange(len(lower))[:, None]
     return _frozen(np.ascontiguousarray(src.T), np.ascontiguousarray(lower.T + 1.0))
+
+
+def _runs(sizes: np.ndarray):
+    """(k, t) over the places t < sizes[k] of consecutive runs, k-major."""
+    k = np.repeat(np.arange(sizes.size), sizes)
+    return k, np.arange(k.size) - (np.cumsum(sizes) - sizes)[k]
+
+
+@lru_cache(maxsize=None)
+def split_table(dim_a: int, dim_b: int, max_degree: int):
+    """(i, j, pos) over the pairs (alpha_i, beta_j) with |alpha_i| + |beta_j|
+    <= max_degree, i-major and j ascending, pos the graded position of the
+    concatenated row on C^(dim_a + dim_b): a permutation of its positions.  In
+    `rank` of that row the beta coordinates add j = rank(beta), and the alpha
+    ones a lead of alpha and b = |beta| alone; (0, ..., 0, b) closes its degree
+    block, so lead = rank((alpha, 0, ..., 0, b)) - (count_indices(dim_b, b) - 1)."""
+    top = max_degree - degree_vector(dim_a, max_degree)
+    blocks = np.array([count_indices(dim_b, d) for d in range(max_degree + 1)])
+    li, b = _runs(top + 1)
+    rows = np.zeros((li.size, dim_a + dim_b), dtype=np.int64)
+    rows[:, :dim_a], rows[:, -1] = exponent_matrix(dim_a, max_degree)[li], b
+    lead = np.empty((top.size, max_degree + 1), dtype=np.int64)
+    lead[li, b] = rank(rows) - (blocks[b] - 1)
+    i, j = _runs(blocks[top])
+    return _frozen(i, j, lead[i, degree_vector(dim_b, max_degree)[j]] + j)
 
 
 @lru_cache(maxsize=None)

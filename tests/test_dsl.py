@@ -184,6 +184,23 @@ def test_curry_uncurry_eval():
         ev("(uncurry f)", env)
 
 
+@pytest.mark.parametrize(
+    "nx, ny, message",
+    [
+        (2, 2, "outer point has dimension 2, expected 1"),
+        (1, 3, "inner point has dimension 3, expected 2"),
+    ],
+)
+def test_a_curried_evaluation_checks_each_point_against_its_own_block(nx, ny, message):
+    # f on C^3 curried at 1: the outer point lives on C^1, the inner on C^2
+    env = {"f": ev("(series :dom 3 :cod 1 :deg 2 {(1 1 0) -> 1})")}
+    with pytest.raises(ValueError, match=message):
+        ca.curry(env["f"], 1).evaluate(np.ones(nx), np.ones(ny))
+    x, y = ("[" + " ".join(["1 0"] * n) + "]" for n in (nx, ny))
+    with pytest.raises(EvalError, match=f"line 1, col 1: {message}"):
+        ev(f"(eval (curry f 1) {x} {y})", env)
+
+
 def test_diff_forms():
     env = {"f": ev("(series :dom 2 :cod 1 :deg 3 {(2 1) -> 1})")}
     d0 = ev("(diff f 0)", env)

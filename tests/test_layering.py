@@ -151,6 +151,28 @@ def test_one_formula_adds_multi_indices():
     assert ranks == [("rank", ("TruncatedSeries", "from_terms"))]
 
 
+def test_one_split_of_the_graded_order():
+    # a concatenated multi-index (alpha, beta) is ranked in split_table alone:
+    # m2, currying and curried evaluation read its positions, calculus.py
+    # ranks nothing, and exponential.py ranks only digging's images
+    split_readers = sorted(
+        {
+            (path.name, ".".join(stack))
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "multiindex.py"
+            for stack in readers(path, "split_table")
+        }
+    )
+    assert split_readers == [
+        ("calculus.py", "CurriedSeries.evaluate"),
+        ("calculus.py", "curry"),
+        ("calculus.py", "uncurry"),
+        ("exponential.py", "monoidal_product"),
+    ]
+    assert guarded_calls(SRC / "calculus.py", {"rank"}) == []
+    assert guarded_calls(SRC / "exponential.py", {"rank"}) == [("rank", ("comultiplication",))]
+
+
 def readers(path, name):
     """The enclosing function names of every read of `name` in a file."""
     return [stack for found, stack in enclosed(path, _read) if found == name]

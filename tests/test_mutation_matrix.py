@@ -139,6 +139,16 @@ def _swap_rows_1_2(rows):
     return rows
 
 
+def _swap_pair_positions_1_2(pos):
+    # the pairs (0, beta_1) and (0, beta_2) trade their concatenated
+    # positions: still a permutation, so the curry round trip and m2's
+    # inverse hold
+    pos = np.array(pos)
+    if len(pos) > 2:
+        pos[[1, 2]] = pos[[2, 1]]
+    return pos
+
+
 def _swap_last_parents(tree):
     # from dimension 2 on, the last two rows share the top degree block and,
     # above degree 1, have different parents: each now grows from the
@@ -175,6 +185,7 @@ ROWS = {
     ),
     "derivative_table": ("multiindex.derivative_table", _table(0, _move_derivative_source)),
     "power_tree": ("multiindex.power_tree", _result(_swap_last_parents)),
+    "split_table": ("multiindex.split_table", _table(2, _swap_pair_positions_1_2)),
     "power_table": ("series.TruncatedSeries.power_table", _result(_bumped)),
     "contraction": ("exponential.contraction", _operator(_set(0, -1))),
     "cocontraction": ("exponential.cocontraction", _operator(_bump_largest)),
@@ -196,6 +207,7 @@ ROWS = {
     "compose_naive": ("calculus.compose_naive", _series(_bumped)),
     "curry": ("calculus.curry", _result(_bump_last_inner)),
     "uncurry": ("calculus.uncurry", _series(_bumped)),
+    "curried-evaluate-nan": ("calculus.CurriedSeries.evaluate", _result(lambda v: v * np.nan)),
     "split_slot_reference": ("calculus.split_slot_reference", _result(_bumped)),
     "truncate": ("series.TruncatedSeries.truncate", _series(_bumped)),
     "homogeneous_part": ("series.TruncatedSeries.homogeneous_part", _series(_bumped)),
@@ -236,6 +248,7 @@ KERNELS = [
     "multiindex.convolution_table",
     "multiindex.derivative_table",
     "multiindex.power_tree",
+    "multiindex.split_table",
     "series.TruncatedSeries.power_table",
     "exponential.contraction",
     "exponential.cocontraction",
@@ -253,6 +266,7 @@ KERNELS = [
     "calculus.compose_naive",
     "calculus.curry",
     "calculus.uncurry",
+    "calculus.CurriedSeries.evaluate",
     "calculus.split_slot_reference",
     "series.TruncatedSeries.truncate",
     "series.TruncatedSeries.homogeneous_part",
@@ -404,10 +418,10 @@ NAN_CASES = {
         "dirac-evaluates",
         "theta-extracts",
         "curry-evaluation",
-        "curry-split-slot-reference",
         "multilinear-diagonal-roundtrip",
         "adjunction-extractor-expansion",
     ],
+    "curried-evaluate-nan": ["curry-evaluation", "curry-split-slot-reference"],
     "compose-nan": ["chain-rule"],
 }
 

@@ -8,12 +8,15 @@ the check that stands outside both.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dillcalc import calculus as ca
 from dillcalc import exponential as xp
 from dillcalc import multiindex as mi
+from dillcalc.series import TruncatedSeries
 
 from brute import graded_order, graded_positions
 
@@ -98,6 +101,39 @@ def test_monoidal_product_and_inverse(dim_e, dim_f, deg):
         m2inv[pos_e[g[:dim_e]] * nf + pos_f[g[dim_e:]], col] = 1.0
     np.testing.assert_array_equal(xp.monoidal_product(dim_e, dim_f, deg).matrix, m2)
     np.testing.assert_array_equal(xp.monoidal_product_inverse(dim_e, dim_f, deg).matrix, m2inv)
+
+
+@pytest.mark.parametrize("dim_a,deg", CASES + [(4, 2)])
+@pytest.mark.parametrize("dim_b", (1, 2, 3))
+def test_split_table(dim_a, dim_b, deg):
+    # i-major, j ascending over the pairs within the budget; pos looked up by
+    # the concatenated tuple, and a permutation of the product space's basis
+    order_a, order_b = graded_order(dim_a, deg), graded_order(dim_b, deg)
+    pos = graded_positions(dim_a + dim_b, deg)
+    want = [
+        (i, j, pos[a + b])
+        for i, a in enumerate(order_a)
+        for j, b in enumerate(order_b)
+        if sum(a) + sum(b) <= deg
+    ]
+    got = mi.split_table(dim_a, dim_b, deg)
+    for arr, col in zip(got, zip(*want)):
+        np.testing.assert_array_equal(arr, col)
+    assert sorted(got[2].tolist()) == list(range(len(pos)))
+
+
+def test_curry_stays_within_a_few_copies_of_its_output():
+    # curry on C^20 at split 10 and degree 6 once ranked the whole exponent
+    # table of C^20 and peaked at 21x the inner coefficient tables
+    f = TruncatedSeries.from_terms(20, 1, 6, {(0, (0,) * 20): 1.0, (0, (6,) + (0,) * 19): 2.0})
+    mi.split_table.cache_clear()
+    tracemalloc.start()
+    try:
+        c = ca.curry(f, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * sum(s.coeffs.nbytes for s in c.inner)
 
 
 @pytest.mark.parametrize("dim,deg", CASES)
