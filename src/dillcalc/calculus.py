@@ -10,8 +10,9 @@ coefficient, so it is rejected unless the caller declares the outer series to
 be an exact polynomial.  `compose_naive` substitutes g into each monomial of f
 with repeated truncated products and serves as the independent oracle.
 
-Currying is m2: !E (x) !F = !(E x F) on coefficients, one read of the pairs
-(alpha, beta) of `multiindex.split_table` by `curry`, `uncurry` and `evaluate`.
+Currying is m2: !E (x) !F = !(E x F) on coefficients.  A curried series is
+one table in `multiindex.split_table` order: `curry` is one gather, `uncurry`
+one scatter, and `evaluate` and the JSON writer read the table's pairs.
 
 `derivative_series` gathers every partial derivative at once through
 `multiindex.derivative_table`, the table `partial_derivative` reads one row of.
@@ -27,7 +28,9 @@ import numpy as np
 from . import exponential as xp
 from . import multiindex as mi
 from . import multilinear as ml
-from .series import FiniteSpace, TruncatedSeries, _check_size, _monomials_at
+from .series import (
+    FiniteSpace, TruncatedSeries, _check_degree, _check_size, _frozen, _json_coeffs, _monomials_at,
+)
 
 
 def _composable(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool):
@@ -50,12 +53,10 @@ def _finite_result(op: str, value):
     """`value`, or one `<op>: result is outside the float range` error if a
     number it stores is not finite: the overflow rule of the term language
     and the CLI.  An operator is read through its stored entries."""
-    tables = value.inner if isinstance(value, CurriedSeries) else (value,)
-    for table in tables:
-        if isinstance(table, xp.LinearOperator):
-            table = table.entries()[2]
-        if not np.isfinite(getattr(table, "coeffs", table)).all():
-            raise ValueError(f"{op}: result is outside the float range")
+    stored = value.entries()[2] if isinstance(value, xp.LinearOperator) else value
+    stored = stored.table if isinstance(stored, CurriedSeries) else getattr(stored, "coeffs", stored)
+    if not np.isfinite(stored).all():
+        raise ValueError(f"{op}: result is outside the float range")
     return value
 
 
@@ -109,44 +110,44 @@ def compose_naive(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool
 # currying
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurriedSeries:
-    """Nested view of a series on a split domain C^m1 x C^m2.
+    """A series on a split domain C^m1 x C^m2 as one coefficient table.
 
-    `inner[p]` is the series in the second block attached to the outer
-    multi-index at position p of the graded order on C^m1; its degree is the
-    remaining budget D - |alpha|, so the nest stores exactly the coefficients
-    c_(alpha, beta) with |alpha| + |beta| <= D and nothing else.
+    `table[:, p]` is c_(alpha_i, beta_j) at the p-th pair (i, j) of
+    `multiindex.split_table`, i-major, so block i is the inner series of
+    alpha_i, of degree D - |alpha_i|.  The table is frozen as a series' is;
+    `==` compares identity, not arrays.
     """
 
     outer_dim: int
     inner_dim: int
     codomain_dim: int
     degree: int
-    inner: tuple[TruncatedSeries, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        degs = mi.degree_vector(self.outer_dim, self.degree)
-        if len(self.inner) != degs.size:
-            raise ValueError(
-                f"inconsistent nesting: {len(self.inner)} inner series for "
-                f"{degs.size} outer indices"
-            )
-        for p, s in enumerate(self.inner):
-            want = self.degree - int(degs[p])
-            if (
-                s.domain.dim != self.inner_dim
-                or s.codomain.dim != self.codomain_dim
-                or s.degree != want
-            ):
-                alpha = tuple(mi.unrank(p, self.outer_dim, self.degree)[0].tolist())
-                raise ValueError(
-                    f"inconsistent nesting at outer index {alpha}: expected a "
-                    f"series C^{self.inner_dim} -> C^{self.codomain_dim} of degree {want}"
-                )
+        for dim in (self.outer_dim, self.inner_dim, self.codomain_dim):
+            mi._require_dim(dim)
+        degree, m = _check_degree(self.degree), self.outer_dim + self.inner_dim
+        shape = (self.codomain_dim, _check_size(m, self.codomain_dim, degree))
+        table = _frozen(self.table, shape, "curried table", f" for dimension {m} degree {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def inner(self) -> tuple[TruncatedSeries, ...]:
+        """The inner series of each outer index, block by block, built on demand."""
+        i = mi.split_table(self.outer_dim, self.inner_dim, self.degree)[0]
+        blocks = np.split(self.table, np.flatnonzero(np.diff(i)) + 1, axis=1)
+        degs = mi.degree_vector(self.outer_dim, self.degree).tolist()
+        return tuple(
+            TruncatedSeries.from_arrays(self.inner_dim, self.codomain_dim, self.degree - d, b)
+            for d, b in zip(degs, blocks)
+        )
 
     def evaluate(self, x, y) -> np.ndarray:
-        """The stacked inner tables times x^alpha_i y^beta_j over the split_table pairs."""
+        """The table times x^alpha_i y^beta_j over the split_table pairs."""
         points = []
         for name, p, dim in (("outer", x, self.outer_dim), ("inner", y, self.inner_dim)):
             p = np.asarray(p, dtype=np.complex128).reshape(-1)
@@ -154,17 +155,28 @@ class CurriedSeries:
                 raise ValueError(f"{name} point has dimension {p.size}, expected {dim}")
             points.append(_monomials_at(p, dim, self.degree))
         i, j, _ = mi.split_table(self.outer_dim, self.inner_dim, self.degree)
-        return np.hstack([s.coeffs for s in self.inner]) @ (points[0][i] * points[1][j])
+        return self.table @ (points[0][i] * points[1][j])
 
     def to_json_dict(self) -> dict:
+        """The bytes of each block written as its own series, from one nonzero
+        scan of the table: its entries grouped by outer index, stably."""
+        i, j, _ = mi.split_table(self.outer_dim, self.inner_dim, self.degree)
+        outs, cols = np.nonzero(self.table)
+        order = np.argsort(i[cols], kind="stable")
+        outs, cols = outs[order], cols[order]
+        items = _json_coeffs(outs, j[cols], self.table[outs, cols], self.inner_dim, self.degree)
+        degs = mi.degree_vector(self.outer_dim, self.degree).tolist()
+        bounds = [0, *np.cumsum(np.bincount(i[cols], minlength=len(degs))).tolist()]
+        alphas = mi.exponent_matrix(self.outer_dim, self.degree).tolist()
+        head = {"domain_dim": self.inner_dim, "codomain_dim": self.codomain_dim}
         return {
             "outer_dim": self.outer_dim,
             "inner_dim": self.inner_dim,
             "codomain_dim": self.codomain_dim,
             "degree": self.degree,
             "outer": [
-                {"alpha": a, "series": s.to_json_dict()}
-                for a, s in zip(mi.exponent_matrix(self.outer_dim, self.degree).tolist(), self.inner)
+                {"alpha": a, "series": {**head, "degree": self.degree - d, "coeffs": items[start:end]}}
+                for a, d, start, end in zip(alphas, degs, bounds, bounds[1:])
             ],
         }
 
@@ -177,30 +189,24 @@ def _inner_dim(m: int, outer_dim: int) -> int:
 
 
 def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
-    """Reindex c_(alpha, beta) into a nest over the first `outer_dim` coordinates.
+    """Reindex c_(alpha, beta) into a table over the first `outer_dim` coordinates.
 
-    Pure coefficient bookkeeping, the `split_table` positions split by alpha:
+    Pure coefficient bookkeeping, one gather of the `split_table` positions:
     the binomial weights of the slot-splitting formula cancel against the
     repeated-coordinate counts of multi-index storage (`split_slot_reference`).
     """
     inner_dim = _inner_dim(f.domain.dim, outer_dim)
-    i, _, pos = mi.split_table(outer_dim, inner_dim, f.degree)
-    groups = np.split(pos, np.flatnonzero(np.diff(i)) + 1)
-    inner = tuple(
-        TruncatedSeries(FiniteSpace(inner_dim), f.codomain, f.degree - d, f.coeffs[:, cols])
-        for d, cols in zip(mi.degree_vector(outer_dim, f.degree).tolist(), groups)
-    )
-    return CurriedSeries(outer_dim, inner_dim, f.codomain.dim, f.degree, inner)
+    table = np.take(f.coeffs, mi.split_table(outer_dim, inner_dim, f.degree)[2], axis=1)
+    table.setflags(write=False)  # frozen, so the constructor keeps it uncopied
+    return CurriedSeries(outer_dim, inner_dim, f.codomain.dim, f.degree, table)
 
 
 def uncurry(c: CurriedSeries) -> TruncatedSeries:
-    """Inverse reindexing, a scatter to the `split_table` positions;
-    uncurry(curry(f)) == f coefficient for coefficient."""
-    stacked = np.hstack([s.coeffs for s in c.inner])
-    arr = np.empty_like(stacked)
-    arr[:, mi.split_table(c.outer_dim, c.inner_dim, c.degree)[2]] = stacked
-    m = c.outer_dim + c.inner_dim
-    return TruncatedSeries(FiniteSpace(m), FiniteSpace(c.codomain_dim), c.degree, arr)
+    """Inverse reindexing, a scatter of the table to the `split_table`
+    positions; uncurry(curry(f)) == f coefficient for coefficient."""
+    arr = np.empty_like(c.table)
+    arr[:, mi.split_table(c.outer_dim, c.inner_dim, c.degree)[2]] = c.table
+    return TruncatedSeries.from_arrays(c.outer_dim + c.inner_dim, c.codomain_dim, c.degree, arr)
 
 
 def split_slot_reference(f: TruncatedSeries, outer_dim: int, x, y) -> np.ndarray:

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import multiindex as mi
 from .series import (
-    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _json_header,
-    _json_terms, _monomials_at,
+    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _frozen,
+    _json_coeffs, _json_header, _json_terms, _monomials_at,
 )
 
 
@@ -122,11 +122,7 @@ class Distribution:
 
     def to_json_dict(self) -> dict:
         (pos,) = np.nonzero(self.coeffs)
-        alphas = mi.unrank(pos, self.dim, self.degree).tolist()
-        entries = [
-            {"alpha": a, "re": c.real, "im": c.imag}
-            for a, c in zip(alphas, self.coeffs[pos].tolist())
-        ]
+        entries = _json_coeffs(None, pos, self.coeffs[pos], self.dim, self.degree)
         return {"dim": self.dim, "degree": self.degree, "coeffs": entries}
 
     def to_json(self) -> str:
@@ -293,13 +289,7 @@ class LinearOperator:
     __slots__ = ("source", "target", "_matrix", "_entries", "_merged")
 
     def __init__(self, source: Basis, target: Basis, matrix):
-        arr = np.asarray(matrix, dtype=np.complex128)
-        if arr.shape != (target.size, source.size):
-            raise ValueError(
-                f"matrix has shape {arr.shape}, expected ({target.size}, {source.size})"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        arr = _frozen(matrix, (target.size, source.size), "matrix")
         self._set(source=source, target=target, _matrix=arr, _entries=None, _merged=True)
 
     def __setattr__(self, name, value):

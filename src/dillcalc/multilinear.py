@@ -27,15 +27,8 @@ class SymmetricMultilinear:
     def __init__(self, arity: int, domain: FiniteSpace, codomain: FiniteSpace, entries):
         if not 0 <= arity <= series.MAX_DEGREE:  # apply multiplies series of degree arity
             raise ValueError(f"arity {arity} outside 0..{series.MAX_DEGREE}")
-        arr = np.asarray(entries, dtype=np.complex128)
         block = mi.degree_slice(domain.dim, arity)
-        n_tuples = block.stop - block.start
-        if arr.shape != (codomain.dim, n_tuples):
-            raise ValueError(
-                f"entry table has shape {arr.shape}, expected ({codomain.dim}, {n_tuples})"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        arr = series._frozen(entries, (codomain.dim, block.stop - block.start), "entry table")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)

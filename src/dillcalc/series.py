@@ -61,6 +61,19 @@ def _check_size(dom_dim: int, cod_dim: int, degree: int) -> int:
     return n_idx
 
 
+def _frozen(values, shape: tuple, what: str, where: str = "") -> np.ndarray:
+    """`values` as a read-only C-ordered complex array of `shape`, else the
+    ValueError `<what> has shape ..., expected <shape><where>`.  An array frozen
+    so that owns its data is shared, as no reference can write it; others are copied."""
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {tuple(map(int, shape))}{where}")
+    if arr.flags.writeable or not (arr.flags.owndata and arr.flags.c_contiguous):
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _is_coordinate(i, dim: int) -> bool:
     """The one coordinate rule, for domain coordinates and output components
     alike: an integer by `mi._is_integer`, 0 <= i < dim."""
@@ -167,6 +180,16 @@ def _json_terms(raw, kind: str) -> dict:
     return terms
 
 
+def _json_coeffs(outs, pos, values, dim: int, degree: int) -> list:
+    """The `coeffs` items of the JSON writers in the order given, each exponent
+    row unranked below count(dim, degree); no "out" key where outs is None."""
+    alphas, values = mi.unrank(pos, dim, degree).tolist(), values.tolist()
+    if outs is None:
+        return [{"alpha": a, "re": c.real, "im": c.imag} for a, c in zip(alphas, values)]
+    rows = zip(outs.tolist(), alphas, values)
+    return [{"out": j, "alpha": a, "re": c.real, "im": c.imag} for j, a, c in rows]
+
+
 def _monomials_at(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
     """x^alpha over the graded order for each point along the last axis of the
     complex array x: shape (..., dim) to (..., count), with 0^0 = 1.
@@ -192,15 +215,8 @@ class TruncatedSeries:
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, degree: int, coeffs):
         degree = _check_degree(degree)
-        n_idx = _check_size(domain.dim, codomain.dim, degree)
-        arr = np.asarray(coeffs, dtype=np.complex128)
-        if arr.shape != (codomain.dim, n_idx):
-            raise ValueError(
-                f"coefficient table has shape {arr.shape}, expected "
-                f"({codomain.dim}, {n_idx}) for dimension {domain.dim} degree {degree}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        shape = (codomain.dim, _check_size(domain.dim, codomain.dim, degree))
+        arr = _frozen(coeffs, shape, "coefficient table", f" for dimension {domain.dim} degree {degree}")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "degree", degree)
@@ -432,16 +448,11 @@ class TruncatedSeries:
 
     def to_json_dict(self) -> dict:
         outs, pos = np.nonzero(self.coeffs)
-        alphas = mi.unrank(pos, self.domain.dim, self.degree).tolist()
-        values = self.coeffs[outs, pos].tolist()
         return {
             "domain_dim": self.domain.dim,
             "codomain_dim": self.codomain.dim,
             "degree": self.degree,
-            "coeffs": [
-                {"out": j, "alpha": a, "re": c.real, "im": c.imag}
-                for j, a, c in zip(outs.tolist(), alphas, values)
-            ],
+            "coeffs": _json_coeffs(outs, pos, self.coeffs[outs, pos], self.domain.dim, self.degree),
         }
 
     def to_json(self) -> str:

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dillcalc import calculus as ca
 from dillcalc import laws
-from dillcalc.series import TruncatedSeries
+from dillcalc.series import FiniteSpace, TruncatedSeries
 
-from brute import bp_compose, from_series, iter_indices, max_mismatch
+from brute import bp_compose, from_series, graded_order, iter_indices, max_mismatch
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -188,6 +189,40 @@ def test_curry_evaluation(data):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.integers(0, 2**31 - 1),
+)
+def test_curried_json_writes_each_block_as_its_series(dim, cod, deg, density, seed):
+    # the one-pass writer against the series writer on each block, which
+    # starts where the inner tables of the outer indices before it end
+    rng = np.random.default_rng(seed)
+    n = math.comb(dim + deg, deg)
+    coeffs = rng.normal(size=(cod, n)) + 1j * rng.normal(size=(cod, n))
+    coeffs[rng.random((cod, n)) >= density] = 0
+    f = TruncatedSeries.from_arrays(dim, cod, deg, coeffs)
+    for split in range(1, dim):
+        c = ca.curry(f, split)
+        data = c.to_json_dict()
+        head = {"outer_dim": split, "inner_dim": dim - split, "codomain_dim": cod, "degree": deg}
+        assert {k: data[k] for k in head} == head
+        alphas = graded_order(split, deg)
+        assert len(data["outer"]) == len(alphas)
+        start = 0
+        for alpha, entry in zip(alphas, data["outer"]):
+            d = deg - sum(alpha)
+            width = math.comb(dim - split + d, d)
+            table = c.table[:, start : start + width]
+            block = TruncatedSeries(FiniteSpace(dim - split), FiniteSpace(cod), d, table)
+            assert entry == {"alpha": list(alpha), "series": block.to_json_dict()}
+            start += width
+        assert start == c.table.shape[1]
+
+
 def test_curry_invalid_split():
     f = TruncatedSeries.zero(2, 1, 2)
     for split in (0, 2, 5):
@@ -196,12 +231,23 @@ def test_curry_invalid_split():
 
 
 def test_curried_series_validation():
-    f = TruncatedSeries.from_terms(2, 1, 2, {(0, (1, 1)): 1.0})
-    c = ca.curry(f, 1)
-    bad_inner = list(c.inner)
-    bad_inner[1] = TruncatedSeries.zero(1, 1, 2)  # alpha=(1) should carry degree 1
-    with pytest.raises(ValueError, match="inconsistent nesting"):
-        ca.CurriedSeries(c.outer_dim, c.inner_dim, c.codomain_dim, c.degree, tuple(bad_inner))
+    cases = [
+        # C^1 x C^1 at degree 2 holds 6 coefficients, not 5
+        ((1, 1, 1, 2, np.zeros((1, 5))), r"shape \(1, 5\), expected \(1, 6\)"),
+        ((1, 1, 2, 2, np.zeros((1, 6))), r"shape \(1, 6\), expected \(2, 6\)"),
+        ((0, 2, 1, 2, np.zeros((1, 6))), "dimension must be at least 1"),
+        ((1, 1.0, 1, 2, np.zeros((1, 6))), "dimension must be an integer"),
+        ((1, 1, 1, -1, np.zeros((1, 1))), "degree must be nonnegative"),
+    ]
+    for args, match in cases:
+        with pytest.raises(ValueError, match=match):
+            ca.CurriedSeries(*args)
+
+
+def test_curried_series_compare_by_identity():
+    # field-wise == would compare the tables elementwise, and hashing one fails
+    c = ca.curry(TruncatedSeries.from_terms(2, 1, 2, {(0, (1, 1)): 1.0}), 1)
+    assert c == c and c != ca.curry(ca.uncurry(c), 1) and len({c, c}) == 1
 
 
 def test_uncurry_type_check():

@@ -153,8 +153,9 @@ def test_one_formula_adds_multi_indices():
 
 def test_one_split_of_the_graded_order():
     # a concatenated multi-index (alpha, beta) is ranked in split_table alone:
-    # m2, currying and curried evaluation read its positions, calculus.py
-    # ranks nothing, and exponential.py ranks only digging's images
+    # m2 and the curried-series code (curry, uncurry, and the table's block
+    # view, evaluation and JSON writer) read its pairs, calculus.py ranks
+    # nothing, and exponential.py ranks only digging's images
     split_readers = sorted(
         {
             (path.name, ".".join(stack))
@@ -165,6 +166,8 @@ def test_one_split_of_the_graded_order():
     )
     assert split_readers == [
         ("calculus.py", "CurriedSeries.evaluate"),
+        ("calculus.py", "CurriedSeries.inner"),
+        ("calculus.py", "CurriedSeries.to_json_dict"),
         ("calculus.py", "curry"),
         ("calculus.py", "uncurry"),
         ("exponential.py", "monoidal_product"),

@@ -168,9 +168,9 @@ def _uncommuted(table):
     return ia, ib, ic
 
 
-def _bump_last_inner(c):
-    *head, last = c.inner
-    return dataclasses.replace(c, inner=(*head, _changed_series(last, _bumped)))
+def _bump_last_block(c):
+    # the table's last entry lies in its last block, the one column of alpha = (0, .., 0, D)
+    return dataclasses.replace(c, table=_bumped(c.table))
 
 
 # row name -> (kernel, corruption); "module.name" or "module.Class.method"
@@ -205,7 +205,7 @@ ROWS = {
     "compose": ("calculus.compose", _series(_bumped)),
     "compose-nan": ("calculus.compose", _series(lambda c: _bumped(c, by=np.nan))),
     "compose_naive": ("calculus.compose_naive", _series(_bumped)),
-    "curry": ("calculus.curry", _result(_bump_last_inner)),
+    "curry": ("calculus.curry", _result(_bump_last_block)),
     "uncurry": ("calculus.uncurry", _series(_bumped)),
     "curried-evaluate-nan": ("calculus.CurriedSeries.evaluate", _result(lambda v: v * np.nan)),
     "split_slot_reference": ("calculus.split_slot_reference", _result(_bumped)),
@@ -424,6 +424,13 @@ NAN_CASES = {
     "curried-evaluate-nan": ["curry-evaluation", "curry-split-slot-reference"],
     "compose-nan": ["chain-rule"],
 }
+
+
+def test_a_crooked_curry_fails_its_laws_by_deviation(matrix):
+    # the corrupted table is a valid curried series, so the laws measure it
+    failed, raised, _ = matrix["curry"]
+    assert sorted({"curry-uncurry-roundtrip", "curry-evaluation"} - failed) == []
+    assert sorted(raised) == []
 
 
 @pytest.mark.parametrize("row", list(NAN_CASES))

@@ -122,10 +122,14 @@ def test_split_table(dim_a, dim_b, deg):
     assert sorted(got[2].tolist()) == list(range(len(pos)))
 
 
+def _two_terms_on_c20():
+    return TruncatedSeries.from_terms(20, 1, 6, {(0, (0,) * 20): 1.0, (0, (6,) + (0,) * 19): 2.0})
+
+
 def test_curry_stays_within_a_few_copies_of_its_output():
     # curry on C^20 at split 10 and degree 6 once ranked the whole exponent
     # table of C^20 and peaked at 21x the inner coefficient tables
-    f = TruncatedSeries.from_terms(20, 1, 6, {(0, (0,) * 20): 1.0, (0, (6,) + (0,) * 19): 2.0})
+    f = _two_terms_on_c20()
     mi.split_table.cache_clear()
     tracemalloc.start()
     try:
@@ -133,7 +137,22 @@ def test_curry_stays_within_a_few_copies_of_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * sum(s.coeffs.nbytes for s in c.inner)
+    assert peak < 10 * c.table.nbytes
+
+
+def test_curry_builds_no_series(monkeypatch):
+    # curry once built one inner series per outer index, 8 008 of them here
+    f = _two_terms_on_c20()
+    built = []
+    init = TruncatedSeries.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counted)
+    c = ca.curry(f, 10)
+    assert (len(built), c.table.shape) == (0, (1, mi.count_indices(20, 6)))
 
 
 @pytest.mark.parametrize("dim,deg", CASES)
