@@ -125,6 +125,7 @@ class CurriedSeries:
     codomain_dim: int
     degree: int
     table: np.ndarray
+    _kind = "curried"
 
     def __post_init__(self):
         for dim in (self.outer_dim, self.inner_dim, self.codomain_dim):

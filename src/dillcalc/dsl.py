@@ -20,9 +20,10 @@ mul.  `eval` applies whatever its first argument is: a series or curried
 series to point vectors, a distribution to a series, an operator to a
 distribution or coordinate vector.  `let` is only allowed at the top level.
 
-Errors: an argument of the wrong kind is an EvalError at that argument.  A
-calculus error (a ValueError) and a result that leaves the float range are
-an EvalError at the form that raised it, and nowhere else.
+Errors: an argument of the wrong kind is an EvalError at that argument, for
+add and scale too.  A calculus error (a ValueError), such as adding a series
+to a distribution, and a result that leaves the float range are an EvalError
+at the form that raised it, and nowhere else.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ _CURRIED = ("a curried series", (ca.CurriedSeries,))
 _DIST = ("a distribution", (xp.Distribution,))
 _OPERATOR = ("a linear operator", (xp.LinearOperator,))
 _DIST_OR_VECTOR = ("a distribution or coordinate vector", (xp.Distribution, np.ndarray))
+_LINEAR = ("a series, distribution or vector", (TruncatedSeries, xp.Distribution, np.ndarray))
 
 
 def _op(fn, *specs, required: Optional[int] = None):
@@ -120,6 +122,20 @@ def _op(fn, *specs, required: Optional[int] = None):
 
 def _diff(f: TruncatedSeries, coord: Optional[int] = None) -> TruncatedSeries:
     return ca.derivative_series(f) if coord is None else f.partial_derivative(coord)
+
+
+def _add(a, b):
+    if type(a) is not type(b):
+        raise ValueError("add expects two series, two distributions or two vectors")
+    if isinstance(a, np.ndarray) and a.size != b.size:
+        raise ValueError("add: vector lengths differ")
+    return a + b
+
+
+def _scale(factor: np.ndarray, value):
+    if factor.size != 1:
+        raise ValueError("scale: factor must be a scalar ([re im] pair or number)")
+    return complex(factor[0]) * value
 
 
 _OPS = {
@@ -134,6 +150,8 @@ _OPS = {
     "bang": _op(xp.bang_map, ("first argument", _SERIES), ("degree", _INT)),
     "hat": _op(xp.series_to_operator, ("argument", _SERIES)),
     "check": _op(xp.operator_to_series, ("argument", _OPERATOR)),
+    "add": _op(_add, ("first argument", _LINEAR), ("second argument", _LINEAR)),
+    "scale": _op(_scale, ("factor", _VECTOR), ("second argument", _LINEAR)),
     "mul": _op(
         TruncatedSeries.pointwise_multiply,
         ("first argument", _SERIES),
@@ -191,33 +209,6 @@ def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
 
     if op == "series":
         return _eval_series_literal(node, args)
-
-    if op == "add":
-        _arity(args, 2, 2, "add", node)
-        a = evaluate_term(args[0], env)
-        b = evaluate_term(args[1], env)
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            if a.size != b.size:
-                raise EvalError("add: vector lengths differ", *_loc(node))
-            return a + b
-        if type(a) is type(b) and isinstance(a, (TruncatedSeries, xp.Distribution)):
-            return a.add(b)
-        raise EvalError("add expects two series, two distributions or two vectors", *_loc(node))
-
-    if op == "scale":
-        _arity(args, 2, 2, "scale", node)
-        c = evaluate_term(args[0], env)
-        if not (isinstance(c, np.ndarray) and c.size == 1):
-            raise EvalError(
-                "scale: factor must be a scalar ([re im] pair or number)", *_loc(args[0])
-            )
-        c = complex(c[0])
-        val = evaluate_term(args[1], env)
-        if isinstance(val, (TruncatedSeries, xp.Distribution)):
-            return val.scale(c)
-        if isinstance(val, np.ndarray):
-            return c * val
-        raise EvalError("scale expects a series, distribution or vector", *_loc(node))
 
     values, kwargs = [], {}
     if op == "eval":
@@ -315,14 +306,8 @@ def value_to_json_dict(value: Value) -> dict:
             "kind": "vector",
             "values": [[v.real, v.imag] for v in value.tolist()],
         }
-    if isinstance(value, TruncatedSeries):
-        return {"kind": "series", **value.to_json_dict()}
-    if isinstance(value, ca.CurriedSeries):
-        return {"kind": "curried", **value.to_json_dict()}
-    if isinstance(value, xp.Distribution):
-        return {"kind": "distribution", **value.to_json_dict()}
-    if isinstance(value, xp.LinearOperator):
-        return {"kind": "operator", **value.to_json_dict()}
+    if isinstance(value, tuple(_EVAL)):  # the value classes, each naming its kind
+        return {"kind": value._kind, **value.to_json_dict()}
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 

@@ -5,7 +5,8 @@ series space, stored in the basis of coefficient extractors: eps_alpha sends a
 series to its alpha coefficient, and a distribution is sum_alpha d_alpha
 eps_alpha over |alpha| <= D.  The Dirac functional at x has d_alpha = x^alpha,
 and the extractor basis is exactly what makes the convolution product and the
-comonad matrices finite and explicit.
+comonad matrices finite and explicit.  Distributions add and scale by the
+vector-space algebra they share with series, `series._Table`.
 
 Conventions for the operator matrices:
 
@@ -26,7 +27,6 @@ Conventions for the operator matrices:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -35,8 +35,8 @@ import numpy as np
 
 from . import multiindex as mi
 from .series import (
-    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _frozen,
-    _json_coeffs, _json_header, _json_terms, _monomials_at,
+    FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _Frozen, _frozen,
+    _json_coeffs, _json_header, _json_terms, _monomials_at, _Table,
 )
 
 
@@ -44,10 +44,11 @@ from .series import (
 # distributions
 
 
-class Distribution:
+class Distribution(_Table):
     """A linear functional sum_alpha d_alpha eps_alpha on degree-D series over C^m."""
 
     __slots__ = ("dim", "degree", "coeffs")
+    _kind = "distribution"
 
     def __init__(self, dim: int, degree: int, coeffs):
         mi._require_dim(dim)
@@ -61,12 +62,7 @@ class Distribution:
             )
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
+        self._set(dim=dim, degree=degree, coeffs=arr)
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "Distribution":
@@ -97,25 +93,6 @@ class Distribution:
         common = mi.count_indices(self.dim, min(self.degree, f.degree))
         return f.coeffs[:, :common] @ self.coeffs[:common]
 
-    def add(self, other: "Distribution") -> "Distribution":
-        if (self.dim, self.degree) != (other.dim, other.degree):
-            raise ValueError("distribution shapes differ: cannot add")
-        return Distribution(self.dim, self.degree, self.coeffs + other.coeffs)
-
-    def scale(self, scalar: complex) -> "Distribution":
-        return Distribution(self.dim, self.degree, self.coeffs * scalar)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
-
-    def __mul__(self, scalar):
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         nz = int(np.count_nonzero(self.coeffs))
         return f"Distribution(dim {self.dim}, degree {self.degree}, {nz} nonzero coefficients)"
@@ -124,9 +101,6 @@ class Distribution:
         (pos,) = np.nonzero(self.coeffs)
         entries = _json_coeffs(None, pos, self.coeffs[pos], self.dim, self.degree)
         return {"dim": self.dim, "degree": self.degree, "coeffs": entries}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Distribution":
@@ -271,7 +245,7 @@ def _merge(keys, vals, n_cols: int):
     return entries, starts.size
 
 
-class LinearOperator:
+class LinearOperator(_Frozen):
     """Complex matrix between described bases, rows indexing the target.
 
     `LinearOperator(source, target, matrix)` keeps the dense matrix it is
@@ -287,17 +261,11 @@ class LinearOperator:
     """
 
     __slots__ = ("source", "target", "_matrix", "_entries", "_merged")
+    _kind = "operator"
 
     def __init__(self, source: Basis, target: Basis, matrix):
         arr = _frozen(matrix, (target.size, source.size), "matrix")
         self._set(source=source, target=target, _matrix=arr, _entries=None, _merged=True)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearOperator is immutable")
-
-    def _set(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_triples(cls, source, target, rows, cols, vals, merged=False) -> "LinearOperator":

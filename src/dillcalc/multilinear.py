@@ -19,7 +19,7 @@ from . import series
 from .series import FiniteSpace, TruncatedSeries
 
 
-class SymmetricMultilinear:
+class SymmetricMultilinear(series._Frozen):
     """Symmetric k-linear map stored on the degree-k multi-indices."""
 
     __slots__ = ("arity", "domain", "codomain", "entries")
@@ -29,13 +29,7 @@ class SymmetricMultilinear:
             raise ValueError(f"arity {arity} outside 0..{series.MAX_DEGREE}")
         block = mi.degree_slice(domain.dim, arity)
         arr = series._frozen(entries, (codomain.dim, block.stop - block.start), "entry table")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "entries", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricMultilinear is immutable")
+        self._set(arity=arity, domain=domain, codomain=codomain, entries=arr)
 
     def entry(self, out: int, t: tuple[int, ...]) -> complex:
         """The entry at the coordinate tuple t, in any order: the rank of its
@@ -102,7 +96,7 @@ def from_monomial(f: TruncatedSeries, arity: int | None = None) -> SymmetricMult
     """
     k = _homogeneous_arity(f, arity)
     block = mi.degree_slice(f.domain.dim, k)
-    alphas = mi.exponent_matrix(f.domain.dim, f.degree)[block]
+    alphas = mi.exponent_matrix(f.domain.dim, k)[block]
     factorials = np.array([math.factorial(e) for e in range(k + 1)], dtype=np.float64)
     scale = factorials[alphas].prod(axis=1) / math.factorial(k)
     entries = f.coeffs[:, block] * scale
@@ -121,7 +115,7 @@ def polarize(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultiline
     k = _homogeneous_arity(f, arity)
     m = f.domain.dim
     # the coordinate tuples: row alpha of the degree-k block repeats coordinate i alpha_i times
-    alphas = mi.exponent_matrix(m, f.degree)[mi.degree_slice(m, k)]
+    alphas = mi.exponent_matrix(m, k)[mi.degree_slice(m, k)]
     tuples = np.repeat(np.tile(np.arange(m), len(alphas)), alphas.ravel()).reshape(len(alphas), k)
     # row `mask` of masks @ units is eps_1 x_1 + ... + eps_k x_k, eps_slot the
     # bit `slot` of mask, for the unit vectors x_slot = e_(t[slot])

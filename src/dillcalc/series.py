@@ -11,6 +11,12 @@ the row of `multiindex.derivative_table` for its coordinate.
 checked: the series and distribution JSON loaders and the term language's
 coefficient maps all build through it.
 
+Series and `exponential.Distribution` share one vector-space algebra, the
+base `_Table`: `add` takes only a value of the same class and shape, `scale`
+only a number, and anything else is a ValueError; `-`, `*` by a number and
+`to_json` are written there once.  Its base `_Frozen` makes a value
+immutable, for multilinear maps and operators too.
+
 Truncation degrees are capped at MAX_DEGREE, a constant: up to that degree
 the weights of `multiindex.convolution_table`, integers built up in float64,
 are exact, and far above it they round.  Every other size is decided
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,22 +215,66 @@ def _monomials_at(x: np.ndarray, dim: int, degree: int) -> np.ndarray:
     return out
 
 
-class TruncatedSeries:
+class _Frozen:
+    """An immutable value: its fields are set through `_set` alone."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+class _Table(_Frozen):
+    """The algebra of a series or distribution: its shape, the constructor fields
+    before `coeffs` (the last slot), and its coefficients.  Its class names its
+    `_kind`; `add` and `scale` build through the constructor."""
+
+    __slots__ = ()
+    __array_ufunc__ = None  # an array on the left of `*` or `+` defers to the methods here
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def add(self, other):
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise ValueError(f"{self._kind} shapes differ: cannot add")
+        return type(self)(*self._shape(), self.coeffs + other.coeffs)
+
+    def scale(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            raise ValueError(f"{self._kind} factor must be a number, got {type(scalar).__name__}")
+        return type(self)(*self._shape(), self.coeffs * scalar)
+
+    def __add__(self, other):
+        return self.add(other)
+
+    def __sub__(self, other):
+        return self.add(other.scale(-1.0) if isinstance(other, _Table) else other)
+
+    def __mul__(self, scalar):
+        return self.scale(scalar)
+
+    __rmul__ = __mul__
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), allow_nan=False)
+
+
+class TruncatedSeries(_Table):
     """Coefficient table of a truncated power series C^m -> C^n."""
 
     __slots__ = ("domain", "codomain", "degree", "coeffs")
+    _kind = "series"
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, degree: int, coeffs):
         degree = _check_degree(degree)
         shape = (codomain.dim, _check_size(domain.dim, codomain.dim, degree))
         arr = _frozen(coeffs, shape, "coefficient table", f" for dimension {domain.dim} degree {degree}")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        self._set(domain=domain, codomain=codomain, degree=degree, coeffs=arr)
 
     # -- constructors -------------------------------------------------------
 
@@ -334,18 +385,6 @@ class TruncatedSeries:
 
     # -- algebra -------------------------------------------------------------
 
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if (self.domain, self.codomain, self.degree) != (
-            other.domain,
-            other.codomain,
-            other.degree,
-        ):
-            raise ValueError("series shapes differ: cannot add")
-        return TruncatedSeries(self.domain, self.codomain, self.degree, self.coeffs + other.coeffs)
-
-    def scale(self, scalar: complex) -> "TruncatedSeries":
-        return TruncatedSeries(self.domain, self.codomain, self.degree, self.coeffs * scalar)
-
     def pointwise_multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product of scalar series, truncated at min of the two degrees."""
         if self.codomain.dim != 1 or other.codomain.dim != 1:
@@ -424,18 +463,10 @@ class TruncatedSeries:
 
     # -- operators -----------------------------------------------------------
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return self.pointwise_multiply(other)
         return self.scale(other)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         nz = int(np.count_nonzero(self.coeffs))
@@ -455,8 +486,7 @@ class TruncatedSeries:
             "coeffs": _json_coeffs(outs, pos, self.coeffs[outs, pos], self.domain.dim, self.degree),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), allow_nan=False)
+    to_json = _Table.to_json  # its own entry, which the benchmark's span tracer wraps
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedSeries":
@@ -474,6 +504,6 @@ class TruncatedSeries:
 
 def coefficient_distance(f: TruncatedSeries, g: TruncatedSeries) -> float:
     """Max absolute coefficient difference; shapes must match."""
-    if (f.domain, f.codomain, f.degree) != (g.domain, g.codomain, g.degree):
+    if f._shape() != g._shape():
         raise ValueError("series shapes differ: cannot compare")
     return float(np.max(np.abs(f.coeffs - g.coeffs)))

@@ -251,6 +251,33 @@ def test_arithmetic_ops():
         ev("(scale [1 0 0 1] f)", env)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a wrong kind, by the table: at the argument
+        (
+            "(scale 2 (curry (series :dom 2 :cod 1 :deg 2 {(1 1) -> 1}) 1))",
+            "line 1, col 10: scale expects a series, distribution or vector as its second argument",
+        ),
+        ("(add f c)", "line 1, col 8: add expects a series, distribution or vector as its second argument"),
+        ("(scale f f)", "line 1, col 8: scale expects a vector as its factor"),
+        # a value error of add or scale: at the form
+        ("(add f (dirac [1 0] 2))", "line 1, col 1: add expects two series, two distributions or two vectors"),
+        ("(add [1 0] [1 0 0 1])", "line 1, col 1: add: vector lengths differ"),
+        ("(scale [1 0 0 1] f)", "line 1, col 1: scale: factor must be a scalar ([re im] pair or number)"),
+        ("(add f (series :dom 1 :cod 1 :deg 3 {}))", "line 1, col 1: series shapes differ: cannot add"),
+    ],
+)
+def test_add_and_scale_follow_the_argument_kind_rule(text, message):
+    env = {
+        "f": ev("(series :dom 1 :cod 1 :deg 2 {(1) -> 1})"),
+        "c": ev("(curry (series :dom 2 :cod 1 :deg 2 {(1 1) -> 1}) 1)"),
+    }
+    with pytest.raises(EvalError) as err:
+        ev(text, env)
+    assert str(err.value) == message
+
+
 def test_eval_dispatch_errors():
     with pytest.raises(EvalError, match="eval of a series expects 1"):
         ev("(eval (series :dom 1 :cod 1 :deg 1 {(1) -> 1}) [1 0] [1 0])")
@@ -296,6 +323,7 @@ def test_value_json_kinds():
     }
     for kind, value in cases.items():
         assert value_to_json_dict(value)["kind"] == kind
+        assert kind == "vector" or type(value)._kind == kind
     with pytest.raises(TypeError, match="no JSON form"):
         value_to_json_dict(object())
 
@@ -336,7 +364,7 @@ def test_examples_format_cleanly():
 
 
 def test_documented_operations_match_the_tables():
-    ops = set(dsl._OPS) | {"eval", "add", "scale"}  # eval has its own table
+    ops = set(dsl._OPS) | {"eval"}  # eval has its own table
     listed = re.search(r"Operations:(.*?)\.", dsl.__doc__, re.S).group(1)
     assert set(re.findall(r"[a-z]+", listed)) == ops
     readme = ROOT.joinpath("README.md").read_text()
@@ -363,7 +391,7 @@ _PRELUDE = """
 (let o (hat f))
 (let v [1 0 0 1])
 """
-_HEADS = sorted(dsl._OPS) + ["eval", "add", "scale", "series", "let", "nobody"]
+_HEADS = sorted(dsl._OPS) + ["eval", "series", "let", "nobody"]
 _NAMES = st.sampled_from(["f", "g", "c", "d", "o", "v", "h", "nobody"])
 
 
@@ -413,7 +441,7 @@ def _argument_types(head):
         return [kind[1] or (None,) for _, kind in dsl._OPS[head][1]]
     if head == "eval":
         return [tuple(dsl._EVAL), tuple(_OF_TYPE)]
-    return [tuple(_OF_TYPE)] * 2
+    return [tuple(_OF_TYPE)] * 2  # series, let and an unknown head
 
 
 _ANY_NAME = st.sampled_from([n for names in _OF_TYPE.values() for n in names])

@@ -132,6 +132,41 @@ def test_distribution_shape_checks():
         d.dim = 3
 
 
+def test_adding_mixed_kinds_or_scaling_by_a_non_number_is_a_value_error():
+    # series and distributions share one algebra: add takes a value of the
+    # same class and shape, and scale a number
+    f = TruncatedSeries.identity(1, 2)
+    d = xp.dirac([2.0], 2)  # three coefficients, as many as the array below
+    with pytest.raises(ValueError, match="series shapes differ: cannot add"):
+        f + d
+    with pytest.raises(ValueError, match="distribution shapes differ: cannot add"):
+        d + f
+    for bad in (
+        lambda: d * np.array([1, 2, 3]),
+        lambda: np.array([1, 2, 3]) * d,  # once an object array of three distributions
+        lambda: f.scale(np.ones(3)),
+        lambda: f * "x",
+    ):
+        with pytest.raises(ValueError, match="factor must be a number"):
+            bad()
+
+
+def test_the_shared_algebra_computes_as_the_arrays_do():
+    rng = np.random.default_rng(4)
+    f, g = rand_series(rng, 2, 1, 3), rand_series(rng, 2, 1, 3)
+    d = xp.Distribution(2, 3, rand_vec(rng, mi.count_indices(2, 3)))
+    cases = [
+        (3 * d, d.coeffs * 3),
+        (f - g, f.coeffs + g.coeffs * -1.0),
+        (f * g, f.pointwise_multiply(g).coeffs),
+    ]
+    for factor in (np.float64(0.5), np.complex128(1j), np.int64(3)):
+        cases += [(factor * f, f.coeffs * factor), (d * factor, d.coeffs * factor)]
+    for value, want in cases:
+        assert type(value) in (TruncatedSeries, xp.Distribution)
+        assert value.coeffs.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
 def test_distribution_json_roundtrip():
     d = xp.Distribution(2, 2, [1.0, 0.0, 2.5 - 1j, 0.0, 0.0, 3.0])
     back = xp.Distribution.from_json_dict(json.loads(d.to_json()))

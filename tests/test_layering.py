@@ -208,6 +208,43 @@ def test_the_name_guard_sees_every_form(tmp_path):
     assert readers(snippet, "_deviation") == [("_law_toy",)]
 
 
+def _defined(node):
+    """The name a node defines: a function, or the target of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return node.id
+    return None
+
+
+def setattr_definitions(path):
+    """The enclosing names of every definition of `__setattr__` in a file."""
+    return [stack for name, stack in enclosed(path, _defined) if name == "__setattr__"]
+
+
+def test_one_base_makes_values_immutable():
+    # series, distributions, multilinear maps and operators refuse writes
+    # through the one base in series.py
+    definers = {path.name: setattr_definitions(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in definers.items() if found} == {
+        "series.py": [("_Frozen", "__setattr__")]
+    }
+
+
+def test_the_immutability_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "class Value:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n"
+        "class Other:\n"
+        "    __setattr__ = Value.__setattr__\n"
+        "    def _set(self, name, value):\n"
+        "        object.__setattr__(self, name, value)\n"
+    )
+    assert setattr_definitions(snippet) == [("Value", "__setattr__"), ("Other",)]
+
+
 def test_only_the_operator_module_joins_triples():
     # one sort-and-searchsorted join, behind LinearOperator
     offenders = [

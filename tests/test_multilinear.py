@@ -4,11 +4,13 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dillcalc import multiindex as mi
 from dillcalc import multilinear as ml
 from dillcalc import series
 from dillcalc.series import FiniteSpace, TruncatedSeries
@@ -179,6 +181,22 @@ def test_apply_builds_no_table_of_ordered_tuples():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_from_monomial_reads_exponent_rows_only_up_to_its_arity():
+    # a quadratic on C^20 carried at degree 6: the degree-2 block is the same
+    # slice of exponent_matrix(20, 2) as of exponent_matrix(20, 6), whose
+    # 230 230 rows once took 81 MB traced
+    f = TruncatedSeries.from_terms(20, 1, 6, {(0, (1, 1) + (0,) * 18): 1.0})
+    mi.exponent_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        tensor = ml.from_monomial(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor.entry(0, (1, 0)) == 0.5
+    assert peak < 10 * 2**20, peak
 
 
 def test_apply_multilinearity():

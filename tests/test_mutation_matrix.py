@@ -23,7 +23,6 @@ from dillcalc import exponential as xp
 from dillcalc import laws
 from dillcalc import multiindex as mi
 from dillcalc import multilinear as ml
-from dillcalc import series
 
 CONFIG = laws.LawConfig(dim=2, degree=4)
 
@@ -51,7 +50,8 @@ def _bumped(arr, at=-1, by=1e-3):
 
 
 def _changed_series(f, change):
-    return series.TruncatedSeries(f.domain, f.codomain, f.degree, change(np.array(f.coeffs)))
+    """A series or distribution of f's shape with its coefficients changed."""
+    return type(f)(*f._shape(), change(np.array(f.coeffs)))
 
 
 def _series(change):
@@ -220,6 +220,8 @@ ROWS = {
     "partial_derivative": ("series.TruncatedSeries.partial_derivative", _series(_bumped)),
     "directional_derivative": ("series.TruncatedSeries.directional_derivative", _result(_bumped)),
     "pointwise_multiply": ("series.TruncatedSeries.pointwise_multiply", _series(_bumped)),
+    # the one add of series and distributions, `+` and `-` included
+    "add": ("series._Table.add", _series(_bumped)),
     "dirac": ("exponential.dirac", _distribution(lambda c: 1.001 * c)),
     "theta": ("exponential.theta", _distribution(_bumped)),
     "convolve": ("exponential.convolve", _distribution(_bumped)),
@@ -276,6 +278,7 @@ KERNELS = [
     "series.TruncatedSeries.partial_derivative",
     "series.TruncatedSeries.directional_derivative",
     "series.TruncatedSeries.pointwise_multiply",
+    "series._Table.add",
     "exponential.dirac",
     "exponential.theta",
     "exponential.convolve",
@@ -424,6 +427,14 @@ NAN_CASES = {
     "curried-evaluate-nan": ["curry-evaluation", "curry-split-slot-reference"],
     "compose-nan": ["chain-rule"],
 }
+
+
+def test_a_crooked_add_fails_every_law_that_sums_values(matrix):
+    # a homogeneous reconstruction, the chain rule's sum over coordinates and
+    # the Taylor sum of the thetas all add series or distributions
+    failed, raised, _ = matrix["add"]
+    named = ["series-homogeneous-reconstruction", "chain-rule", "delta-taylor"]
+    assert sorted(set(named) - failed) == [], f"laws that raised: {sorted(raised)}"
 
 
 def test_a_crooked_curry_fails_its_laws_by_deviation(matrix):
