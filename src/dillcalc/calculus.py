@@ -5,10 +5,10 @@ out of the distributions, and the row of !g at beta is the power g^beta, so
 coeffs(f o g) = f^ . !g: the coefficient table of f times the power table of g
 (`TruncatedSeries.power_table`).  When g(0) = 0 the power g^beta starts at
 degree |beta|, so only the coefficients of f up to the output degree count.  A
-nonzero constant part of g lets every coefficient of f reach every output
-coefficient, so it is rejected unless the caller declares the outer series to
-be an exact polynomial.  `compose_naive` substitutes g into each monomial of f
-with repeated truncated products and serves as the independent oracle.
+constant part of g lets every coefficient of f reach every output coefficient,
+so the caller must declare f an exact polynomial; f is then recentred at g(0)
+(`TruncatedSeries.recenter`) and composed with g - g(0).  `compose_naive`
+substitutes g into each monomial of f and serves as the independent oracle.
 
 Currying is m2: !E (x) !F = !(E x F) on coefficients.  A curried series is
 one table in `multiindex.split_table` order: `curry` is one gather, `uncurry`
@@ -61,17 +61,17 @@ def _finite_result(op: str, value):
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:
-    """f after g, truncated at min(f.degree, g.degree).
+    """f after g, truncated at min(f.degree, g.degree): the coefficient table
+    of f times the power table of g, exact up to the output degree.
 
-    Exact for all total degrees <= the output degree when g(0) = 0.  When
-    g(0) != 0 the caller must flag f as an exact polynomial; otherwise the
-    truncated outer coefficients do not determine any output coefficient.
-    The result is the coefficient table of f times the power table of g.
+    When g(0) != 0 the caller must flag f as an exact polynomial, else the
+    truncated outer coefficients determine no output coefficient; then
+    f o g = (h -> f(g(0) + h)) o (g - g(0)), whose inner series has g(0) = 0.
     """
     deg, g, constant_inner = _composable(f, g, outer_polynomial)
-    top = f.degree if constant_inner else deg
-    rows = mi.count_indices(f.domain.dim, top)
-    return TruncatedSeries(g.domain, f.codomain, deg, f.coeffs[:, :rows] @ g.power_table(top))
+    if constant_inner:
+        f, g = f.recenter(g.constant_term()), g - g.homogeneous_part(0)
+    return TruncatedSeries(g.domain, f.codomain, deg, f.truncate(deg).coeffs @ g.power_table())
 
 
 def compose_naive(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:

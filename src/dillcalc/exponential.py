@@ -543,9 +543,9 @@ def codereliction_operator(dim: int, degree: int) -> LinearOperator:
 def bang_map(f: TruncatedSeries, degree: int) -> LinearOperator:
     """!f: !E -> !F with entry (beta, alpha) the alpha coefficient of f(x)^beta.
 
-    Needs f truncated at least to `degree`; the matrix is the power table of
-    f, the same one `calculus.compose` multiplies by.  Sends delta_x to
-    delta_(f(x)) up to truncation when f(0) = 0, exactly when f is linear.
+    Needs f truncated at least to `degree`; the matrix is its power table.
+    Sends delta_x to delta_(f(x)) up to truncation when f(0) = 0, exactly when
+    f is linear, and for tau_a(h) = a + h it is nabla o (delta_a (x) 1).
     """
     degree = _check_degree(degree)
     if f.degree < degree:
@@ -555,7 +555,7 @@ def bang_map(f: TruncatedSeries, degree: int) -> LinearOperator:
     f = f.truncate(degree)
     _check_size(f.domain.dim, mi.count_indices(f.codomain.dim, degree), degree)  # the power table
     return LinearOperator(
-        DistBasis(f.domain.dim, degree), DistBasis(f.codomain.dim, degree), f.power_table(degree)
+        DistBasis(f.domain.dim, degree), DistBasis(f.codomain.dim, degree), f.power_table()
     )
 
 

@@ -54,6 +54,8 @@ same way, with positions from a dict over the exponent rows, not from `rank`.
 The derivative table is checked through `directional_derivative` by
 `series-directional-finite-difference` and through `partial_derivative` by
 `chain-rule`.
+The translation laws check `TruncatedSeries.recenter` against evaluation at
+a + h (`translation-evaluates`), which reads no pair table.
 
 Laws resolve `compose`, the structure maps and the index kernels through the
 calculus, exponential and multiindex module objects at call time, so a
@@ -601,6 +603,46 @@ def _law_dirac_spanning(config: LawConfig, rng) -> Sides:
         recon = np.exp(-k * turns) / (pts * r**k) @ diracs
         yield recon, xp.Distribution.extractor((k,), degree).coeffs
     return {"dim": 1, "degree": degree, "nodes": pts}
+
+
+# ---------------------------------------------------------------------------
+# translation laws: moving the base point to a is convolution with delta_a
+
+
+@law("translation-evaluates", TOL_FLOAT)
+def _law_translation_evaluates(config: LawConfig, rng) -> Sides:
+    # evaluation at a + h reads no pair table, where `recenter` scatters one
+    f = random_series(rng, config.dim, 2, config.degree)
+    a = random_vector(rng, config.dim)
+    h = random_vector(rng, (mi.count_indices(config.dim, config.degree), config.dim))
+    yield f.recenter(a).evaluate_many(h), f.evaluate_many(a + h)
+
+
+@law("translation-group", TOL_FLOAT)
+def _law_translation_group(config: LawConfig, rng) -> Sides:
+    f = random_series(rng, config.dim, 2, config.degree)
+    a, b = random_vector(rng, config.dim), random_vector(rng, config.dim)
+    yield f.recenter(np.zeros(config.dim)).coeffs, f.coeffs
+    yield f.recenter(a).recenter(b).coeffs, f.recenter(a + b).coeffs
+
+
+@law("dirac-translation", TOL_FLOAT)
+def _law_dirac_translation(config: LawConfig, rng) -> Sides:
+    a, b = random_vector(rng, config.dim), random_vector(rng, config.dim)
+    lhs = xp.convolve(xp.dirac(a, config.degree), xp.dirac(b, config.degree))
+    yield lhs.coeffs, xp.dirac(a + b, config.degree).coeffs
+
+
+@law("promotion-of-translation", TOL_FLOAT)
+def _law_promotion_translation(config: LawConfig, rng) -> Sides:
+    # !tau_a for tau_a(h) = a + h, against nabla o (delta_a (x) 1)
+    dim, degree = config.dim, config.degree
+    a = random_vector(rng, dim)
+    tau = TruncatedSeries.identity(dim, degree) + TruncatedSeries.constant(a, dim, degree)
+    basis = xp.DistBasis(dim, degree)
+    delta = xp.LinearOperator(xp.VectorBasis(1), basis, xp.dirac(a, degree).coeffs[:, None])
+    delta_one = delta.act(xp.LinearOperator.identity(basis), after=basis.size)
+    yield xp.bang_map(tau, degree), xp.cocontraction(dim, degree).act(delta_one)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def polarize(f: TruncatedSeries, arity: int | None = None) -> SymmetricMultiline
     `from_monomial` is checked.
     """
     k = _homogeneous_arity(f, arity)
-    m = f.domain.dim
+    m, f = f.domain.dim, f.truncate(k)  # evaluated at its arity, not at its degree
     # the coordinate tuples: row alpha of the degree-k block repeats coordinate i alpha_i times
     alphas = mi.exponent_matrix(m, k)[mi.degree_slice(m, k)]
     tuples = np.repeat(np.tile(np.arange(m), len(alphas)), alphas.ravel()).reshape(len(alphas), k)

@@ -258,7 +258,7 @@ class _Table(_Frozen):
     def __mul__(self, scalar):
         return self.scale(scalar)
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), allow_nan=False)
@@ -399,8 +399,8 @@ class TruncatedSeries(_Table):
         np.add.at(out, ic, a[ia] * b[ib])
         return TruncatedSeries(self.domain, FiniteSpace(1), deg, out[None, :])
 
-    def power_table(self, max_exponent: int) -> np.ndarray:
-        """Coefficients of the powers g^beta = prod_j g_j^beta_j for |beta| <= max_exponent.
+    def power_table(self) -> np.ndarray:
+        """The powers g^beta = prod_j g_j^beta_j, |beta| <= this degree: the matrix of !g.
 
         Row r belongs to the r-th multi-index beta of the graded order on the
         codomain and holds the coefficients of g^beta, truncated at this
@@ -413,7 +413,7 @@ class TruncatedSeries(_Table):
         stably, so they keep the order the full table would give them.
         """
         n = self.codomain.dim
-        parent, last = mi.power_tree(n, max_exponent)
+        parent, last = mi.power_tree(n, self.degree)
         (top,) = mi.top_degrees(self.domain.dim, self.coeffs)
         ia, ib, ic = mi.product_table(self.domain.dim, self.degree, self.degree, top)
         table = np.zeros((len(parent), self.coeffs.shape[1]), dtype=np.complex128)
@@ -422,7 +422,7 @@ class TruncatedSeries(_Table):
             keep = np.flatnonzero((self.coeffs[j] != 0)[ib])
             keep = keep[np.argsort(ic[keep], kind="stable")]
             ja, jc, jw = ia[keep], ic[keep], self.coeffs[j, ib[keep]]
-            for k in range(1, max_exponent + 1):
+            for k in range(1, self.degree + 1):
                 block = mi.degree_slice(n, k)
                 rows = block.start + np.flatnonzero(last[block] == j)
                 src = table[parent[rows]]
@@ -434,6 +434,22 @@ class TruncatedSeries(_Table):
                         src[:, a] * w, starts, axis=1
                     )
         return table
+
+    def recenter(self, a) -> "TruncatedSeries":
+        """The coefficients of h -> f(a + h), this table read as an exact polynomial f.
+
+        Moving the base point is convolution with the Dirac at a: the
+        coefficient of h^beta is sum_alpha binom(alpha + beta, alpha) a^alpha
+        f_(alpha + beta), one scatter over the `multiindex.convolution_table`
+        pairs up to f's `top_degrees`, weighted by the monomials of a.
+        """
+        dim = self.domain.dim
+        a = self._domain_vector(a, "base point")
+        (top,) = mi.top_degrees(dim, self.coeffs)
+        ia, ib, ic, w = mi.convolution_table(dim, top)
+        out = np.zeros_like(self.coeffs)
+        np.add.at(out, (slice(None), ib), w * _monomials_at(a, dim, top)[ia] * self.coeffs[:, ic])
+        return TruncatedSeries(self.domain, self.codomain, self.degree, out)
 
     def partial_derivative(self, coord: int) -> "TruncatedSeries":
         """d/dx_coord, one degree lower; the derivative of a degree-0 table is zero."""

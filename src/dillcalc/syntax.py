@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import List, Union
 
 
 class ParseError(ValueError):
@@ -32,39 +31,44 @@ class EvalError(ValueError):
 # syntax tree
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Union[int, float]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class _Node:
+    """The fields its class names in `__slots__`, then the line and col where
+    it starts (0 if not given), which `==` and `hash` ignore."""
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__ + _Node.__slots__, (*values, 0, 0)):
+            setattr(self, name, value)
+
+    def _key(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, _Node) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Num(_Node):
+    __slots__ = ("value",)  # an int or a float
 
 
-@dataclass(frozen=True)
-class Vec:
-    values: Tuple[Union[int, float], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Sym(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class CoeffMap:
-    entries: Tuple[Tuple[Tuple[int, ...], Union[Num, Vec]], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Vec(_Node):
+    __slots__ = ("values",)  # a tuple of numbers
 
 
-@dataclass(frozen=True)
-class ListForm:
-    items: Tuple["Node", ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class CoeffMap(_Node):
+    __slots__ = ("entries",)  # a tuple of (exponent tuple, Num or Vec) pairs
+
+
+class ListForm(_Node):
+    __slots__ = ("items",)  # a tuple of nodes
 
 
 Node = Union[Num, Sym, Vec, CoeffMap, ListForm]
@@ -82,12 +86,8 @@ _NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _SYM_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_\-]*")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Token(_Node):
+    __slots__ = ("kind", "text")
 
 
 def tokenize(text: str) -> List[_Token]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dillcalc import calculus as ca
 from dillcalc import laws
+from dillcalc import multiindex as mi
 from dillcalc.series import FiniteSpace, TruncatedSeries
 
 from brute import bp_compose, from_series, graded_order, iter_indices, max_mismatch
@@ -129,6 +130,44 @@ def test_compose_polynomial_outer_above_inner_degree(dim, f_deg, g_deg):
     assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-9
     low = ca.compose(f.truncate(g_deg), g, outer_polynomial=True)
     assert np.max(np.abs(fast.coeffs - low.coeffs)) > 1e-3
+
+
+def dyadic_series(rng, dom, cod, deg):
+    """Coefficients that are multiples of 1/4, damped by 2^-k at degree k: every
+    product and partial sum of the routes below is exact in floating point."""
+    n = mi.count_indices(dom, deg)
+    coeffs = (rng.integers(-8, 9, (cod, n)) + 1j * rng.integers(-8, 9, (cod, n))) / 4
+    return TruncatedSeries.from_arrays(dom, cod, deg, coeffs * 2.0 ** -mi.degree_vector(dom, deg))
+
+
+@pytest.mark.parametrize("dim,deg", [(1, 3), (2, 4), (3, 6), (4, 8)])
+def test_recenter_is_compose_with_a_translation(dim, deg):
+    # f(a + h) by substituting a + h into each monomial of f
+    rng = np.random.default_rng(dim * 10 + deg)
+    f = dyadic_series(rng, dim, 2, deg)
+    a = (rng.integers(-8, 9, dim) + 1j * rng.integers(-8, 9, dim)) / 4
+    tau = TruncatedSeries.identity(dim, deg) + TruncatedSeries.constant(a, dim, deg)
+    moved = f.recenter(a)
+    assert moved.coeffs.tobytes() == ca.compose_naive(f, tau, outer_polynomial=True).coeffs.tobytes()
+    # the constant term is f(a), and the degree-1 block the Jacobian at a
+    np.testing.assert_allclose(moved.constant_term(), f.evaluate(a), atol=1e-12)
+    np.testing.assert_allclose(moved.coeffs[:, 1 : dim + 1], ca.jacobian_at(f, a), atol=1e-12)
+
+
+def test_recenter_checks_the_base_point():
+    f = TruncatedSeries.identity(2, 3)
+    with pytest.raises(ValueError, match="base point has dimension 3, series domain is 2"):
+        f.recenter([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("dim,deg", [(2, 4), (3, 6), (4, 8)])
+def test_poly_compose_is_exact_on_dyadic_inputs(dim, deg):
+    # f recentred at g(0), after g - g(0), equals the substitution bit for bit
+    rng = np.random.default_rng(dim * 100 + deg)
+    f, g = dyadic_series(rng, dim, 2, deg), dyadic_series(rng, dim, dim, deg)
+    assert np.any(g.constant_term() != 0)
+    fast = ca.compose(f, g, outer_polynomial=True)
+    assert fast.coeffs.tobytes() == ca.compose_naive(f, g, outer_polynomial=True).coeffs.tobytes()
 
 
 def test_fibonacci_script_is_exact():

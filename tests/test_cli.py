@@ -519,6 +519,31 @@ def test_wide_products_pair_only_the_degrees_their_operands_reach(tmp_path, prog
     assert got == want
 
 
+def test_poly_compose_at_the_stall_size_is_a_recentring(tmp_path):
+    # dense C^6 -> C^6 series at degree 8 with g(0) != 0: the power table of g
+    # up to f's degree once asked for an 881 MiB block and exited 2 under a
+    # 2 GiB limit; recentring f at g(0) keeps that table at the output degree
+    rng = np.random.default_rng(68)
+    n = mi.count_indices(6, 8)
+    f, g = (
+        TruncatedSeries.from_arrays(6, 6, 8, rng.uniform(-1, 1, (6, n)) / (mi.degree_vector(6, 8) + 1))
+        for _ in range(2)
+    )
+    (tmp_path / "outer.json").write_text(f.to_json())
+    (tmp_path / "inner.json").write_text(g.to_json())
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", "compose", "outer.json", "inner.json", "--poly"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ca.compose(f, g, outer_polynomial=True).to_json() + "\n"
+
+
 def test_diff_checks_the_coordinate_at_degree_zero(tmp_path, capsys):
     # a degree-0 series once gave a zero derivative for any coordinate
     f = series_file(tmp_path, "c.json", 2, 1, 0, {(0, (0, 0)): 1.0})

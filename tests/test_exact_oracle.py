@@ -1,4 +1,4 @@
-"""Integer-coefficient compose, bang_map and convolve against sympy's exact arithmetic.
+"""Integer-coefficient compose, recenter, bang_map and convolve against sympy's exact arithmetic.
 
 sympy expands the polynomials over the integers and rationals, and positions
 come from sorting plain tuples (brute.graded_positions), so the expected
@@ -101,6 +101,11 @@ def test_compose_polynomial_outer_exact(m, p, f_deg, g_deg):
     )
     assert h.degree == g_deg
     assert np.array_equal(h.coeffs, want)
+    # the route moves f's base point to g(0) = (1, .., p): f(g(0) + y)
+    shift = [sp.Poly(y + j + 1, *ys) for j, y in enumerate(ys)]
+    moved = TruncatedSeries.from_terms(p, 2, f_deg, f_terms).recenter(np.arange(1, p + 1))
+    want = np.array([truncated_row(substitute(f, shift), p, f_deg) for f in polys(f_terms, 2, ys)])
+    assert np.array_equal(moved.coeffs, want)
 
 
 @pytest.mark.parametrize("m,n,deg", [(1, 2, 4), (2, 2, 3), (2, 3, 2), (3, 1, 3)])

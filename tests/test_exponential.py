@@ -151,6 +151,21 @@ def test_adding_mixed_kinds_or_scaling_by_a_non_number_is_a_value_error():
             bad()
 
 
+@pytest.mark.parametrize("kind", ["series", "distribution"])
+def test_adding_an_array_or_a_number_is_a_value_error_in_either_order(kind):
+    # an array on the left once raised numpy's "Concatenation operation is
+    # not implemented" TypeError, and a number on the left a TypeError
+    value = TruncatedSeries.identity(1, 2) if kind == "series" else xp.dirac([2.0], 2)
+    for bad in (
+        lambda: value + np.array([1, 2, 3]),
+        lambda: np.array([1, 2, 3]) + value,
+        lambda: value + 2,
+        lambda: 2 + value,
+    ):
+        with pytest.raises(ValueError, match=f"{kind} shapes differ: cannot add"):
+            bad()
+
+
 def test_the_shared_algebra_computes_as_the_arrays_do():
     rng = np.random.default_rng(4)
     f, g = rand_series(rng, 2, 1, 3), rand_series(rng, 2, 1, 3)
@@ -848,11 +863,11 @@ def test_wide_bang_linear_reads_no_exponent_table_of_its_degree():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def full_sort_power_table(g, max_exponent):
+def full_sort_power_table(g):
     """The power table built by sorting the whole product table by target once,
     then filtering it for each g_j: the construction the shipped one must match."""
     n = g.codomain.dim
-    exps = mi.exponent_matrix(n, max_exponent)[1:]
+    exps = mi.exponent_matrix(n, g.degree)[1:]
     last = n - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
     parents = exps.copy()
     parents[np.arange(len(exps)), last] -= 1
@@ -867,7 +882,7 @@ def full_sort_power_table(g, max_exponent):
     for j in range(n):
         keep = g.coeffs[j, ib] != 0
         ja, jc, jw = ia[keep], ic[keep], g.coeffs[j, ib[keep]]
-        for k in range(1, max_exponent + 1):
+        for k in range(1, g.degree + 1):
             batch = (last == j) & (degree == k)
             if not batch.any():
                 continue

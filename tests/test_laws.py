@@ -41,6 +41,10 @@ EXPECTED_LAWS = [
     "cocontraction-matches-convolve",
     "delta-taylor",
     "dirac-spanning",
+    "translation-evaluates",
+    "translation-group",
+    "dirac-translation",
+    "promotion-of-translation",
     "comonad-counit-laws",
     "comonad-coassociativity",
     "bialgebra-contraction-laws",

@@ -386,21 +386,22 @@ def test_every_public_name_resolves_on_first_use():
 
 
 # `python -m dillcalc ARGS...`, with an atexit hook that records, after the
-# command and its output, whether numpy was loaded and the collector's
-# permanent generation size
+# command and its output, whether numpy and dataclasses were loaded and the
+# collector's permanent generation size
 _MODULE_WRAPPER = (
     "import atexit, gc, json, runpy, sys\n"
     "def report(path=sys.argv.pop(1)):\n"
     "    with open(path, 'w') as handle:\n"
-    "        json.dump({'numpy': 'numpy' in sys.modules, 'frozen': gc.get_freeze_count()}, handle)\n"
+    "        json.dump({'numpy': 'numpy' in sys.modules, 'dataclasses': 'dataclasses' in sys.modules,\n"
+    "                   'frozen': gc.get_freeze_count()}, handle)\n"
     "atexit.register(report)\n"
     "runpy.run_module('dillcalc', run_name='__main__', alter_sys=True)\n"
 )
 
 
 def run_module(tmp_path, *argv):
-    """(exit code, {"numpy": loaded, "frozen": freeze count}) of one fresh
-    `python -m dillcalc` process."""
+    """(exit code, {"numpy": loaded, "dataclasses": loaded, "frozen": freeze
+    count}) of one fresh `python -m dillcalc` process."""
     state = tmp_path / "state.json"
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
@@ -426,7 +427,8 @@ def test_reading_and_formatting_never_load_numpy(tmp_path):
     }
     for what, (argv, code) in runs.items():
         got, state = run_module(tmp_path, *argv)
-        assert (got, state["numpy"]) == (code, False), what
+        # nor dataclasses, with the inspect, ast and dis it loads
+        assert (got, state["numpy"], state["dataclasses"]) == (code, False, False), what
 
 
 def non_stdlib_imports(path):

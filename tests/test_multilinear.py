@@ -118,6 +118,30 @@ def test_polarize_in_several_batches(monkeypatch):
     )
 
 
+def test_polarize_evaluates_at_its_arity(monkeypatch):
+    # a quadratic carried at degree 6 was once evaluated over every monomial
+    # of degree <= 6 (for C^20, 230 230 of them where 231 do)
+    rng = np.random.default_rng(12)
+    terms = {
+        (out, alpha): complex(*rng.uniform(-1, 1, 2))
+        for out in (0, 1)
+        for alpha in iter_indices(4, 2)
+        if sum(alpha) == 2
+    }
+    f = TruncatedSeries.from_terms(4, 2, 6, terms)
+    evaluated = []
+    original = TruncatedSeries.evaluate_many
+
+    def spy(self, points):
+        evaluated.append(self.degree)
+        return original(self, points)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate_many", spy)
+    tensor = ml.polarize(f, 2)
+    assert set(evaluated) == {2}
+    assert tensor.entries.tobytes() == ml.polarize(f.truncate(2), 2).entries.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(homogeneous_st(max_arity=3), st.integers(0, 2**31 - 1))
 def test_apply_symmetric_and_diagonal(fa, seed):

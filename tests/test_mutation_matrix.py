@@ -187,6 +187,7 @@ ROWS = {
     "power_tree": ("multiindex.power_tree", _result(_swap_last_parents)),
     "split_table": ("multiindex.split_table", _table(2, _swap_pair_positions_1_2)),
     "power_table": ("series.TruncatedSeries.power_table", _result(_bumped)),
+    "recenter": ("series.TruncatedSeries.recenter", _series(_bumped)),
     "contraction": ("exponential.contraction", _operator(_set(0, -1))),
     "cocontraction": ("exponential.cocontraction", _operator(_bump_largest)),
     "cocontraction-entry": ("exponential.cocontraction", _bump_middle_entry),
@@ -252,6 +253,7 @@ KERNELS = [
     "multiindex.power_tree",
     "multiindex.split_table",
     "series.TruncatedSeries.power_table",
+    "series.TruncatedSeries.recenter",
     "exponential.contraction",
     "exponential.cocontraction",
     "exponential.monoidal_product",
@@ -435,6 +437,14 @@ def test_a_crooked_add_fails_every_law_that_sums_values(matrix):
     failed, raised, _ = matrix["add"]
     named = ["series-homogeneous-reconstruction", "chain-rule", "delta-taylor"]
     assert sorted(set(named) - failed) == [], f"laws that raised: {sorted(raised)}"
+
+
+def test_the_translation_laws_see_their_kernels(matrix):
+    # evaluation at a + h shares no pair table with the recentring, and
+    # delta_a * delta_b = delta_(a+b) reads every convolution weight
+    for row, law in (("recenter", "translation-evaluates"), ("convolution_table", "dirac-translation")):
+        failed, raised, _ = matrix[row]
+        assert law in failed, f"laws that raised: {sorted(raised)}"
 
 
 def test_a_crooked_curry_fails_its_laws_by_deviation(matrix):
