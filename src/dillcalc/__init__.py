@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _HOMES = {
-    "multiindex": ("binom_componentwise", "count_indices", "position_of"),
-    "series": ("MAX_DEGREE", "FiniteSpace", "TruncatedSeries", "coefficient_distance"),
+    "multiindex": ("count_indices", "position_of"),
+    "series": ("MAX_DEGREE", "FiniteSpace", "TruncatedSeries"),
     "multilinear": ("SymmetricMultilinear", "from_monomial", "polarize"),
     "calculus": (
         "CurriedSeries",

@@ -10,9 +10,10 @@ so the caller must declare f an exact polynomial; f is then recentred at g(0)
 (`TruncatedSeries.recenter`) and composed with g - g(0).  `compose_naive`
 substitutes g into each monomial of f and serves as the independent oracle.
 
-Currying is m2: !E (x) !F = !(E x F) on coefficients.  A curried series is
-one table in `multiindex.split_table` order: `curry` is one gather, `uncurry`
-one scatter, and `evaluate` and the JSON writer read the table's pairs.
+Currying is m2: !E (x) !F = !(E x F) on coefficients, a linear reindexing.  A
+curried series is one coefficient table in `multiindex.split_table` order, a
+`series._Table` that adds and scales as a series does: `curry` is one gather,
+`uncurry` one scatter, and `evaluate` and the JSON writer read the table's pairs.
 
 `derivative_series` gathers every partial derivative at once through
 `multiindex.derivative_table`, the table `partial_derivative` reads one row of.
@@ -21,7 +22,6 @@ one scatter, and `evaluate` and the JSON writer read the table's pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import multiindex as mi
 from . import multilinear as ml
 from .series import (
     FiniteSpace, TruncatedSeries, _check_degree, _check_size, _frozen, _json_coeffs, _monomials_at,
+    _Table,
 )
 
 
@@ -54,7 +55,7 @@ def _finite_result(op: str, value):
     number it stores is not finite: the overflow rule of the term language
     and the CLI.  An operator is read through its stored entries."""
     stored = value.entries()[2] if isinstance(value, xp.LinearOperator) else value
-    stored = stored.table if isinstance(stored, CurriedSeries) else getattr(stored, "coeffs", stored)
+    stored = getattr(stored, "coeffs", stored)
     if not np.isfinite(stored).all():
         raise ValueError(f"{op}: result is outside the float range")
     return value
@@ -110,41 +111,32 @@ def compose_naive(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool
 # currying
 
 
-@dataclass(frozen=True, eq=False)
-class CurriedSeries:
+class CurriedSeries(_Table):
     """A series on a split domain C^m1 x C^m2 as one coefficient table.
 
-    `table[:, p]` is c_(alpha_i, beta_j) at the p-th pair (i, j) of
+    `coeffs[:, p]` is c_(alpha_i, beta_j) at the p-th pair (i, j) of
     `multiindex.split_table`, i-major, so block i is the inner series of
-    alpha_i, of degree D - |alpha_i|.  The table is frozen as a series' is;
-    `==` compares identity, not arrays.
+    alpha_i, of degree D - |alpha_i|.  It adds and scales as a series does.
     """
 
-    outer_dim: int
-    inner_dim: int
-    codomain_dim: int
-    degree: int
-    table: np.ndarray
+    __slots__ = ("outer_dim", "inner_dim", "codomain_dim", "degree", "coeffs")
     _kind = "curried"
 
-    def __post_init__(self):
-        for dim in (self.outer_dim, self.inner_dim, self.codomain_dim):
+    def __init__(self, outer_dim: int, inner_dim: int, codomain_dim: int, degree: int, coeffs):
+        for dim in (outer_dim, inner_dim, codomain_dim):
             mi._require_dim(dim)
-        degree, m = _check_degree(self.degree), self.outer_dim + self.inner_dim
-        shape = (self.codomain_dim, _check_size(m, self.codomain_dim, degree))
-        table = _frozen(self.table, shape, "curried table", f" for dimension {m} degree {degree}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "table", table)
+        degree, m = _check_degree(degree), outer_dim + inner_dim
+        shape = (codomain_dim, _check_size(m, codomain_dim, degree))
+        arr = _frozen(coeffs, shape, "curried table", f" for dimension {m} degree {degree}")
+        self._set(
+            outer_dim=outer_dim, inner_dim=inner_dim, codomain_dim=codomain_dim, degree=degree, coeffs=arr
+        )
 
-    @property
-    def inner(self) -> tuple[TruncatedSeries, ...]:
-        """The inner series of each outer index, block by block, built on demand."""
-        i = mi.split_table(self.outer_dim, self.inner_dim, self.degree)[0]
-        blocks = np.split(self.table, np.flatnonzero(np.diff(i)) + 1, axis=1)
-        degs = mi.degree_vector(self.outer_dim, self.degree).tolist()
-        return tuple(
-            TruncatedSeries.from_arrays(self.inner_dim, self.codomain_dim, self.degree - d, b)
-            for d, b in zip(degs, blocks)
+    def __repr__(self):
+        nz = int(np.count_nonzero(self.coeffs))
+        return (
+            f"CurriedSeries(C^{self.outer_dim} x C^{self.inner_dim} -> C^{self.codomain_dim}, "
+            f"degree {self.degree}, {nz} nonzero coefficients)"
         )
 
     def evaluate(self, x, y) -> np.ndarray:
@@ -156,16 +148,16 @@ class CurriedSeries:
                 raise ValueError(f"{name} point has dimension {p.size}, expected {dim}")
             points.append(_monomials_at(p, dim, self.degree))
         i, j, _ = mi.split_table(self.outer_dim, self.inner_dim, self.degree)
-        return self.table @ (points[0][i] * points[1][j])
+        return self.coeffs @ (points[0][i] * points[1][j])
 
     def to_json_dict(self) -> dict:
         """The bytes of each block written as its own series, from one nonzero
         scan of the table: its entries grouped by outer index, stably."""
         i, j, _ = mi.split_table(self.outer_dim, self.inner_dim, self.degree)
-        outs, cols = np.nonzero(self.table)
+        outs, cols = np.nonzero(self.coeffs)
         order = np.argsort(i[cols], kind="stable")
         outs, cols = outs[order], cols[order]
-        items = _json_coeffs(outs, j[cols], self.table[outs, cols], self.inner_dim, self.degree)
+        items = _json_coeffs(outs, j[cols], self.coeffs[outs, cols], self.inner_dim, self.degree)
         degs = mi.degree_vector(self.outer_dim, self.degree).tolist()
         bounds = [0, *np.cumsum(np.bincount(i[cols], minlength=len(degs))).tolist()]
         alphas = mi.exponent_matrix(self.outer_dim, self.degree).tolist()
@@ -197,16 +189,16 @@ def curry(f: TruncatedSeries, outer_dim: int) -> CurriedSeries:
     repeated-coordinate counts of multi-index storage (`split_slot_reference`).
     """
     inner_dim = _inner_dim(f.domain.dim, outer_dim)
-    table = np.take(f.coeffs, mi.split_table(outer_dim, inner_dim, f.degree)[2], axis=1)
-    table.setflags(write=False)  # frozen, so the constructor keeps it uncopied
-    return CurriedSeries(outer_dim, inner_dim, f.codomain.dim, f.degree, table)
+    coeffs = np.take(f.coeffs, mi.split_table(outer_dim, inner_dim, f.degree)[2], axis=1)
+    coeffs.setflags(write=False)  # frozen, so the constructor keeps it uncopied
+    return CurriedSeries(outer_dim, inner_dim, f.codomain.dim, f.degree, coeffs)
 
 
 def uncurry(c: CurriedSeries) -> TruncatedSeries:
     """Inverse reindexing, a scatter of the table to the `split_table`
     positions; uncurry(curry(f)) == f coefficient for coefficient."""
-    arr = np.empty_like(c.table)
-    arr[:, mi.split_table(c.outer_dim, c.inner_dim, c.degree)[2]] = c.table
+    arr = np.empty_like(c.coeffs)
+    arr[:, mi.split_table(c.outer_dim, c.inner_dim, c.degree)[2]] = c.coeffs
     return TruncatedSeries.from_arrays(c.outer_dim + c.inner_dim, c.codomain_dim, c.degree, arr)
 
 

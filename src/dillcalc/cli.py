@@ -139,7 +139,7 @@ def _cmd_curry(args, run: _Run) -> int:
         f = _read_series(args.series)
     c = _finite(run, "curry", lambda: ca.curry(f, args.split))
     with run.stage("write"):
-        _write_out(json.dumps(c.to_json_dict(), allow_nan=False), args.output)
+        _write_out(c.to_json(), args.output)
     return 0
 
 

@@ -139,7 +139,8 @@ def theta(order: int, x, degree: int) -> Distribution:
 
 def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     """Convolution product; on extractors eps_alpha * eps_beta =
-    binom_componentwise(alpha, beta) eps_(alpha+beta), truncated at the degree."""
+    prod_i C(alpha_i + beta_i, alpha_i) eps_(alpha+beta), truncated at the degree:
+    the weights of `multiindex.convolution_table`."""
     if (d1.dim, d1.degree) != (d2.dim, d2.degree):
         raise ValueError("distribution shapes differ: cannot convolve")
     tops = mi.top_degrees(d1.dim, d1.coeffs, d2.coeffs)

@@ -611,7 +611,7 @@ def _law_dirac_spanning(config: LawConfig, rng) -> Sides:
 
 @law("translation-evaluates", TOL_FLOAT)
 def _law_translation_evaluates(config: LawConfig, rng) -> Sides:
-    # evaluation at a + h reads no pair table, where `recenter` scatters one
+    # evaluation at a + h walks the power tree, not the shift-table chains of `recenter`
     f = random_series(rng, config.dim, 2, config.degree)
     a = random_vector(rng, config.dim)
     h = random_vector(rng, (mi.count_indices(config.dim, config.degree), config.dim))

@@ -23,13 +23,13 @@ through the shift table: no summed exponent row is formed, and no exponent
 row above degree max_degree - 1 is read.  The same walk gives the point
 monomials x^beta = x^(beta - e_j) x_j of `series._monomials_at`, and
 `degree_vector` reads the sizes of the degree blocks, not exponent rows.
-The scalar API (`position_of`, `binom_componentwise`) takes any sequence of
-integers and checks it with `_checked`.  `indices_of_degree`,
-`enumerate_indices` and `index_positions` are plain-tuple views of
-`exponent_matrix` that no package code calls; the benchmark's tracer
-(`perfbench/tracer.py`) wraps them by name.  The other modules ask this one
-for the dimension rule (`_require_dim`) and for the positions of a degree
-block (`degree_slice`; the degree-1 block holds the unit indices e_1..e_m).
+The scalar `position_of` takes any sequence of integers and checks it with
+`_checked`.  `indices_of_degree`, `enumerate_indices` and `index_positions`
+are plain-tuple views of `exponent_matrix` that no package code calls; the
+benchmark's tracer (`perfbench/tracer.py`) wraps them by name.  The other
+modules ask this one for the dimension rule (`_require_dim`) and for the
+positions of a degree block (`degree_slice`; the degree-1 block holds the
+unit indices e_1..e_m).
 """
 
 from __future__ import annotations
@@ -162,18 +162,6 @@ def position_of(alpha, max_degree: int) -> int:
     return int(rank(a))
 
 
-def binom_componentwise(alpha, beta) -> int:
-    """prod_i binom(alpha_i + beta_i, alpha_i).
-
-    This is the coefficient of x^alpha y^beta in (x + y)^(alpha + beta) and the
-    structure constant of convolution on coefficient extractors.
-    """
-    a, b = _checked(alpha), _checked(beta)
-    if len(a) != len(b):
-        raise ValueError(f"multi-index dimensions differ: {len(a)} vs {len(b)}")
-    return math.prod(math.comb(x + y, x) for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # numpy views used by the series engine
 
@@ -207,7 +195,8 @@ def top_degrees(dim: int, *tables) -> tuple:
 @lru_cache(maxsize=None)
 def _pair_tables(dim: int, max_degree: int, top_a: int, top_b: int):
     """(ia, ib, ic, w) over all pairs alpha_ia + alpha_ib = alpha_ic, all <= max_degree,
-    with |alpha_ia| <= top_a, |alpha_ib| <= top_b and w = binom_componentwise(alpha_ia, alpha_ib).
+    with |alpha_ia| <= top_a, |alpha_ib| <= top_b and the convolution weight
+    w = prod_i C(alpha_ia_i + alpha_ib_i, alpha_ia_i).
 
     One walk over the degrees db <= top_b of beta writes each block (da, db),
     da + db <= max_degree, straight into the output, da-major and ia-major
@@ -252,7 +241,8 @@ def product_table(dim: int, max_degree: int, top_a: float = math.inf, top_b: flo
 
 @lru_cache(maxsize=None)
 def convolution_table(dim: int, max_degree: int, top_a: float = math.inf, top_b: float = math.inf):
-    """The product_table triples with the weight binom_componentwise(alpha_ia, alpha_ib)."""
+    """The product_table triples with the weight prod_i C(alpha_ia_i + alpha_ib_i, alpha_ia_i),
+    the structure constant of convolution on coefficient extractors."""
     return _pair_tables(dim, max_degree, min(top_a, max_degree), min(top_b, max_degree))
 
 

@@ -438,17 +438,25 @@ class TruncatedSeries(_Table):
     def recenter(self, a) -> "TruncatedSeries":
         """The coefficients of h -> f(a + h), this table read as an exact polynomial f.
 
-        Moving the base point is convolution with the Dirac at a: the
-        coefficient of h^beta is sum_alpha binom(alpha + beta, alpha) a^alpha
-        f_(alpha + beta), one scatter over the `multiindex.convolution_table`
-        pairs up to f's `top_degrees`, weighted by the monomials of a.
+        Moving the base point is convolution with the Dirac at a, one
+        coordinate at a time: moving coordinate j by a_j makes the coefficient
+        at beta sum_k a_j^k binom(beta_j + k, k) f_(beta + k e_j).  Each
+        beta + k e_j follows the chain src[j] of `multiindex.derivative_table`
+        up to f's `top_degrees`, and the integer weight is carried as
+        w * factor[j, at] / k, which is exact; no pair table is built.
         """
         dim = self.domain.dim
         a = self._domain_vector(a, "base point")
         (top,) = mi.top_degrees(dim, self.coeffs)
-        ia, ib, ic, w = mi.convolution_table(dim, top)
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, (slice(None), ib), w * _monomials_at(a, dim, top)[ia] * self.coeffs[:, ic])
+        src, factor = mi.derivative_table(dim, top)
+        out = self.coeffs
+        for j in np.flatnonzero(a):
+            at, w, power, moved = np.arange(src.shape[1]), np.ones(src.shape[1]), 1.0, out.copy()
+            for k in range(1, top + 1):
+                n = mi.count_indices(dim, top - k)
+                w, at, power = w[:n] * factor[j, at[:n]] / k, src[j, at[:n]], power * a[j]
+                moved[:, :n] += power * w * out[:, at]
+            out = moved
         return TruncatedSeries(self.domain, self.codomain, self.degree, out)
 
     def partial_derivative(self, coord: int) -> "TruncatedSeries":
@@ -517,9 +525,3 @@ class TruncatedSeries(_Table):
             raise ValueError(f"malformed series JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
-
-def coefficient_distance(f: TruncatedSeries, g: TruncatedSeries) -> float:
-    """Max absolute coefficient difference; shapes must match."""
-    if f._shape() != g._shape():
-        raise ValueError("series shapes differ: cannot compare")
-    return float(np.max(np.abs(f.coeffs - g.coeffs)))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dillcalc import calculus as ca
 from dillcalc import laws
 from dillcalc import multiindex as mi
+from dillcalc.cli import main
 from dillcalc.series import FiniteSpace, TruncatedSeries
 
 from brute import bp_compose, from_series, graded_order, iter_indices, max_mismatch
@@ -186,11 +187,11 @@ def test_curry_frozen_example():
     f = TruncatedSeries.from_terms(2, 1, 3, {(0, (2, 1)): 1.0})
     c = ca.curry(f, 1)
     assert c.outer_dim == 1 and c.inner_dim == 1
-    inner = c.inner[2]  # position of alpha = (2) at degree <= 3 in one variable
-    assert inner.degree == 1
-    assert inner.coefficient(0, (1,)) == 1.0
-    for pos in (0, 1, 3):
-        assert np.all(c.inner[pos].coeffs == 0)
+    # blocks of 4, 3, 2 and 1 inner coefficients for alpha = (0) .. (3);
+    # y is the second entry of the block of alpha = (2)
+    want = np.zeros((1, 10))
+    want[0, 4 + 3 + 1] = 1.0
+    np.testing.assert_array_equal(c.coeffs, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,9 +205,7 @@ def test_curry_uncurry_roundtrip_bit_exact(data):
     back = ca.uncurry(c)
     assert back.degree == f.degree
     np.testing.assert_array_equal(back.coeffs, f.coeffs)
-    again = ca.curry(back, split)
-    for a, b in zip(c.inner, again.inner):
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    np.testing.assert_array_equal(ca.curry(back, split).coeffs, c.coeffs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -255,11 +254,11 @@ def test_curried_json_writes_each_block_as_its_series(dim, cod, deg, density, se
         for alpha, entry in zip(alphas, data["outer"]):
             d = deg - sum(alpha)
             width = math.comb(dim - split + d, d)
-            table = c.table[:, start : start + width]
+            table = c.coeffs[:, start : start + width]
             block = TruncatedSeries(FiniteSpace(dim - split), FiniteSpace(cod), d, table)
             assert entry == {"alpha": list(alpha), "series": block.to_json_dict()}
             start += width
-        assert start == c.table.shape[1]
+        assert start == c.coeffs.shape[1]
 
 
 def test_curry_invalid_split():
@@ -287,6 +286,49 @@ def test_curried_series_compare_by_identity():
     # field-wise == would compare the tables elementwise, and hashing one fails
     c = ca.curry(TruncatedSeries.from_terms(2, 1, 2, {(0, (1, 1)): 1.0}), 1)
     assert c == c and c != ca.curry(ca.uncurry(c), 1) and len({c, c}) == 1
+
+
+def normal_series(rng, dom, cod, deg):
+    coeffs = rng.normal(size=(2, cod, mi.count_indices(dom, deg)))
+    return TruncatedSeries.from_arrays(dom, cod, deg, coeffs[0] + 1j * coeffs[1])
+
+
+@pytest.mark.parametrize("dim,cod,deg", [(2, 1, 4), (3, 2, 5), (4, 1, 6)])
+def test_curry_is_linear_at_every_split(dim, cod, deg):
+    # curried series add and scale as the series they come from
+    rng = np.random.default_rng(dim * 10 + deg)
+    f, g = (normal_series(rng, dim, cod, deg) for _ in range(2))
+    for split in range(1, dim):
+        summed = ca.curry(f, split) + 2 * ca.curry(g, split)
+        assert type(summed) is ca.CurriedSeries
+        assert summed.coeffs.tobytes() == ca.curry(f + 2 * g, split).coeffs.tobytes()
+        assert ca.uncurry(summed).coeffs.tobytes() == (f + 2 * g).coeffs.tobytes()
+        difference = ca.curry(f, split) - ca.curry(g, split)
+        assert difference.coeffs.tobytes() == ca.curry(f - g, split).coeffs.tobytes()
+
+
+def test_curried_series_are_immutable_values():
+    f = TruncatedSeries.from_terms(3, 1, 2, {(0, (1, 0, 1)): 1.5})
+    c = ca.curry(f, 1)
+    with pytest.raises(ValueError, match="curried shapes differ: cannot add"):
+        c + ca.curry(f, 2)
+    with pytest.raises(ValueError, match="curried shapes differ: cannot add"):
+        c + f
+    with pytest.raises(ValueError, match="curried factor must be a number, got str"):
+        c.scale("2")
+    with pytest.raises(AttributeError, match="CurriedSeries is immutable"):
+        c.coeffs = np.zeros_like(c.coeffs)
+    assert repr(c) == "CurriedSeries(C^1 x C^2 -> C^1, degree 2, 1 nonzero coefficients)"
+
+
+def test_curried_json_is_the_curry_command_output(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    f = normal_series(rng, 6, 1, 6)
+    path = tmp_path / "f.json"
+    path.write_text(f.to_json())
+    for split in range(1, 6):
+        assert main(["curry", str(path), "--split", str(split)]) == 0
+        assert capsys.readouterr().out == ca.curry(f, split).to_json() + "\n"
 
 
 def test_uncurry_type_check():

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import pathlib
 import re
@@ -542,6 +543,30 @@ def test_poly_compose_at_the_stall_size_is_a_recentring(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ca.compose(f, g, outer_polynomial=True).to_json() + "\n"
+
+
+def test_poly_compose_with_a_wide_outer_domain_moves_one_coordinate_at_a_time(tmp_path):
+    # f = x_0^8 on C^20 after g(t) = (0.5 + 0.5t, 0.5t, ..., 0.5t): recentring
+    # f through a pair table over C^20 once asked for a 2.81 GiB index and
+    # exited 2 under a 2 GiB limit; the shift table's chains need none
+    f = TruncatedSeries.from_terms(20, 1, 8, {(0, (8,) + (0,) * 19): 1.0})
+    g = TruncatedSeries.from_terms(
+        1, 20, 8, {(0, (0,)): 0.5, **{(i, (1,)): 0.5 for i in range(20)}}
+    )
+    (tmp_path / "outer.json").write_text(f.to_json())
+    (tmp_path / "inner.json").write_text(g.to_json())
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", "compose", "outer.json", "inner.json", "--poly"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = TruncatedSeries.from_arrays(1, 1, 8, [[0.5**8 * math.comb(8, k) for k in range(9)]])
+    assert proc.stdout == want.to_json() + "\n"
 
 
 def test_diff_checks_the_coordinate_at_degree_zero(tmp_path, capsys):

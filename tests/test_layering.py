@@ -22,11 +22,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import typing
 
+import numpy as np
 import pytest
 
 import dillcalc
-from dillcalc import laws
+from dillcalc import dsl, laws, series
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dillcalc"
 GUARDED = {"indices_of_degree", "enumerate_indices", "index_positions"}
@@ -153,8 +155,8 @@ def test_one_formula_adds_multi_indices():
 
 def test_one_split_of_the_graded_order():
     # a concatenated multi-index (alpha, beta) is ranked in split_table alone:
-    # m2 and the curried-series code (curry, uncurry, and the table's block
-    # view, evaluation and JSON writer) read its pairs, calculus.py ranks
+    # m2 and the curried-series code (curry, uncurry, and the table's
+    # evaluation and JSON writer) read its pairs, calculus.py ranks
     # nothing, and exponential.py ranks only digging's images
     split_readers = sorted(
         {
@@ -166,7 +168,6 @@ def test_one_split_of_the_graded_order():
     )
     assert split_readers == [
         ("calculus.py", "CurriedSeries.evaluate"),
-        ("calculus.py", "CurriedSeries.inner"),
         ("calculus.py", "CurriedSeries.to_json_dict"),
         ("calculus.py", "curry"),
         ("calculus.py", "uncurry"),
@@ -231,6 +232,30 @@ def test_one_base_makes_values_immutable():
     }
 
 
+def setattr_calls(path):
+    """The enclosing names of every call of `object.__setattr__` in a file."""
+
+    def pick(node):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and func.attr == "__setattr__":
+            return getattr(func.value, "id", None)
+        return None
+
+    return [stack for name, stack in enclosed(path, pick) if name == "object"]
+
+
+def test_only_the_immutability_base_writes_fields():
+    # a value's fields are set through `_Frozen._set` alone, and every value
+    # the term language computes with, but a vector, is one of its subclasses
+    callers = {path.name: setattr_calls(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in callers.items() if found} == {
+        "series.py": [("_Frozen", "_set")]
+    }
+    values = [cls for cls in typing.get_args(dsl.Value) if cls is not np.ndarray]
+    assert len(values) == 4
+    assert [cls.__name__ for cls in values if not issubclass(cls, series._Frozen)] == []
+
+
 def test_the_immutability_guard_sees_every_form(tmp_path):
     snippet = tmp_path / "snippet.py"
     snippet.write_text(
@@ -241,8 +266,15 @@ def test_the_immutability_guard_sees_every_form(tmp_path):
         "    __setattr__ = Value.__setattr__\n"
         "    def _set(self, name, value):\n"
         "        object.__setattr__(self, name, value)\n"
+        "@dataclass(frozen=True)\n"
+        "class Curried:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'table', 0)\n"
+        "        super().__setattr__('table', 0)\n"
+        "object.__setattr__(Value(), 'x', 1)\n"
     )
     assert setattr_definitions(snippet) == [("Value", "__setattr__"), ("Other",)]
+    assert setattr_calls(snippet) == [("Other", "_set"), ("Curried", "__post_init__"), ()]
 
 
 def test_only_the_operator_module_joins_triples():

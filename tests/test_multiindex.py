@@ -54,33 +54,13 @@ def test_degree_blocks_are_prefixes():
         assert degs == sorted(degs)
 
 
-def test_binom_componentwise_frozen():
-    assert mi.binom_componentwise((1, 1), (1, 0)) == 2
-    assert mi.binom_componentwise((2, 0), (1, 1)) == 3
-    assert mi.binom_componentwise((0,), (3,)) == 1
-
-
-@given(st.integers(1, 3), st.data())
-def test_binom_componentwise_symmetry(dim, data):
-    tup = st.tuples(*[st.integers(0, 3)] * dim)
-    a = data.draw(tup)
-    b = data.draw(tup)
-    assert mi.binom_componentwise(a, b) == mi.binom_componentwise(b, a)
-    want = math.prod(math.comb(x + y, x) for x, y in zip(a, b))
-    assert mi.binom_componentwise(a, b) == want
-
-
 def test_multiindex_validation():
     with pytest.raises(ValueError, match=r"negative exponent in multi-index \(1, -1\)"):
         mi.position_of((1, -1), 3)
     with pytest.raises(ValueError, match=r"negative exponent in multi-index \(0, -2\)"):
-        mi.binom_componentwise((1, 0), (0, -2))
+        mi.position_of((0, -2), 3)
     with pytest.raises(ValueError, match="empty space"):
         mi.position_of((), 3)
-    with pytest.raises(ValueError, match="empty space"):
-        mi.binom_componentwise((), ())
-    with pytest.raises(ValueError, match="multi-index dimensions differ: 2 vs 3"):
-        mi.binom_componentwise((1, 0), (1, 0, 0))
     with pytest.raises(ValueError, match=r"multi-index \(2, 2\) exceeds degree 3"):
         mi.position_of((2, 2), 3)
     with pytest.raises(ValueError, match="empty space"):
@@ -98,13 +78,13 @@ def test_non_integral_exponents_are_refused(bad):
     with pytest.raises(ValueError, match=re.escape(f"non-integer exponent {bad!r}")):
         mi.position_of((bad, 0), 3)
     with pytest.raises(ValueError, match="non-integer exponent"):
-        mi.binom_componentwise((0, 1), (bad, 0))
+        mi.position_of((0, bad), 3)
 
 
 def test_numpy_integer_exponents_are_accepted():
     for kind in (np.int8, np.int64, np.uint16):
         assert mi.position_of((kind(1), kind(0)), 3) == 1
-        assert mi.binom_componentwise((kind(2), 0), (kind(1), kind(1))) == 3
+        assert mi.position_of((kind(2), kind(1)), 3) == 7
     assert mi.position_of(np.array([0, 2]), 2) == 5
 
 

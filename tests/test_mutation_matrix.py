@@ -13,7 +13,6 @@ pass again once it is undone.
 A new kernel or law adds one row to ROWS (and a kernel its name to KERNELS).
 """
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -170,7 +169,7 @@ def _uncommuted(table):
 
 def _bump_last_block(c):
     # the table's last entry lies in its last block, the one column of alpha = (0, .., 0, D)
-    return dataclasses.replace(c, table=_bumped(c.table))
+    return type(c)(c.outer_dim, c.inner_dim, c.codomain_dim, c.degree, _bumped(c.coeffs))
 
 
 # row name -> (kernel, corruption); "module.name" or "module.Class.method"

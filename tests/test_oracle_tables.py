@@ -137,7 +137,7 @@ def test_curry_stays_within_a_few_copies_of_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * c.table.nbytes
+    assert peak < 10 * c.coeffs.nbytes
 
 
 def test_curry_builds_no_series(monkeypatch):
@@ -152,7 +152,7 @@ def test_curry_builds_no_series(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__init__", counted)
     c = ca.curry(f, 10)
-    assert (len(built), c.table.shape) == (0, (1, mi.count_indices(20, 6)))
+    assert (len(built), c.coeffs.shape) == (0, (1, mi.count_indices(20, 6)))
 
 
 @pytest.mark.parametrize("dim,deg", CASES)

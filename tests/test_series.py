@@ -14,7 +14,6 @@ from dillcalc.series import (
     FiniteSpace,
     TruncatedSeries,
     _monomials_at,
-    coefficient_distance,
 )
 
 from brute import (
@@ -469,11 +468,3 @@ def test_json_malformed():
         TruncatedSeries.from_json("{not json")
     with pytest.raises(ValueError, match="malformed series JSON"):
         TruncatedSeries.from_json(json.dumps({"domain_dim": 1}))
-
-
-def test_coefficient_distance():
-    f = TruncatedSeries.from_terms(1, 1, 2, {(0, (1,)): 1.0})
-    g = TruncatedSeries.from_terms(1, 1, 2, {(0, (1,)): 1.5})
-    assert coefficient_distance(f, g) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        coefficient_distance(f, TruncatedSeries.zero(2, 1, 2))
