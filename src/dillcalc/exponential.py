@@ -231,55 +231,55 @@ def _keys(rows, cols, n_cols: int) -> np.ndarray:
     return keys
 
 
-def _merge(keys, vals, n_cols: int):
-    """Read-only row-major (rows, cols, vals) triples of the entries keyed
-    row * n_cols + col, repeated keys summed and zero sums dropped, and the
-    number of distinct keys."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(vals[order], starts)
-    keep = sums != 0
-    entries = (*np.divmod(keys[starts[keep]], n_cols), sums[keep])
-    for arr in entries:
-        arr.setflags(write=False)
-    return entries, starts.size
-
-
 class LinearOperator(_Frozen):
     """Complex matrix between described bases, rows indexing the target.
 
     `LinearOperator(source, target, matrix)` keeps the dense matrix it is
-    given, signed zeros included.  `from_entries` keeps only the nonzero
-    (row, col, value) triples, as the structure maps and `identity` are
-    built, and `matrix` scatters them into a dense array when first read.
-    `act`, `@` and `.T` join and relabel triples, except that `@` of two
-    dense operators is one dense product.  Their results may repeat a
-    (row, col) pair; repeats are summed, and zero sums dropped, once, when
-    `entries()` or `matrix` is first read.  `-` merges as it goes, on the
-    keys of both operands.  Merges sort on the int64 key row * n_cols + col,
-    so `from_entries` and `act` refuse a shape of more than 2**63 entries.
+    given, signed zeros included.  Every other operator is entry-built and
+    merged when it is made: it stores its nonzero (row, col, value) triples
+    in row-major order, repeated (row, col) pairs summed and zero sums
+    dropped.  `from_entries` (the structure maps and `identity`), `act`,
+    `swap`, `.T` and `-` all build through the one constructor `_merge`,
+    which sorts on the int64 key row * n_cols + col, so `from_entries` and
+    `act` refuse a shape of more than 2**63 entries.  `@` is `act`, except
+    that `@` of two dense operators is one dense product.  `entries()` and
+    `matrix` only read: `matrix` scatters an entry-built operator into a
+    fresh read-only array at each read.
     """
 
-    __slots__ = ("source", "target", "_matrix", "_entries", "_merged")
+    __slots__ = ("source", "target", "_matrix", "_entries")
     _kind = "operator"
 
     def __init__(self, source: Basis, target: Basis, matrix):
         arr = _frozen(matrix, (target.size, source.size), "matrix")
-        self._set(source=source, target=target, _matrix=arr, _entries=None, _merged=True)
+        self._set(source=source, target=target, _matrix=arr, _entries=None)
 
     @classmethod
-    def _from_triples(cls, source, target, rows, cols, vals, merged=False) -> "LinearOperator":
+    def _merge(cls, source, target, keys, vals, repeats=True) -> "LinearOperator":
+        """The entry-built operator with value vals[k] at the int64 key
+        keys[k] = row * source.size + col, stored as read-only row-major
+        (rows, cols, vals) triples: repeated keys summed (refused unless
+        `repeats`) and zero sums dropped.  The unsorted keys and values are
+        released once reordered, when the caller holds no other reference."""
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = vals[order]
+        del order
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        if starts.size < keys.size:
+            if not repeats:
+                raise ValueError("repeated (row, col) entry")
+            keys, vals = keys[starts], np.add.reduceat(vals, starts)
+        keep = vals != 0
+        entries = mi._frozen(*np.divmod(keys[keep], source.size), vals[keep])
         op = cls.__new__(cls)
-        op._set(
-            source=source, target=target, _matrix=None, _entries=(rows, cols, vals), _merged=merged
-        )
+        op._set(source=source, target=target, _matrix=None, _entries=entries)
         return op
 
     @classmethod
     def from_entries(cls, source: Basis, target: Basis, rows, cols, vals) -> "LinearOperator":
         """The operator whose entry (rows[k], cols[k]) is vals[k] and every other
-        entry 0.  Zero values are dropped and the triples kept in row-major order."""
+        entry 0.  Zero values are dropped; a repeated pair or an index off the shape is refused."""
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         cols = np.asarray(cols, dtype=np.intp).reshape(-1)
         vals = np.asarray(vals, dtype=np.complex128).reshape(-1)
@@ -293,36 +293,24 @@ class LinearOperator(_Frozen):
             rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
         ):
             raise ValueError(f"entry index outside the shape ({n_rows}, {n_cols})")
-        entries, distinct = _merge(_keys(rows, cols, n_cols), vals, n_cols)
-        if distinct < rows.size:
-            raise ValueError("repeated (row, col) entry")
-        return cls._from_triples(source, target, *entries, merged=True)
+        return cls._merge(source, target, _keys(rows, cols, n_cols), vals, repeats=False)
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense (target.size, source.size) matrix, read-only."""
-        if self._matrix is None:
-            arr = np.zeros((self.target.size, self.source.size), dtype=np.complex128)
-            rows, cols, vals = self.entries()
-            arr[rows, cols] = vals
-            arr.setflags(write=False)
-            self._set(_matrix=arr)
-        return self._matrix
+        if self._entries is None:
+            return self._matrix
+        arr = np.zeros((self.target.size, self.source.size), dtype=np.complex128)
+        rows, cols, vals = self._entries
+        arr[rows, cols] = vals
+        return mi._frozen(arr)[0]
 
     def entries(self) -> tuple:
-        """The nonzero entries as (rows, cols, vals) arrays, in row-major order."""
+        """The nonzero entries as read-only (rows, cols, vals) arrays, in row-major order."""
         if self._entries is None:
             rows, cols = np.nonzero(self._matrix)
-            return rows, cols, self._matrix[rows, cols]
-        if not self._merged:
-            rows, cols, vals = self._entries
-            n_cols = self.source.size
-            self._set(_entries=_merge(_keys(rows, cols, n_cols), vals, n_cols)[0], _merged=True)
+            return mi._frozen(rows, cols, self._matrix[rows, cols])
         return self._entries
-
-    def _triples(self) -> tuple:
-        """The triples as stored, repeats and all, or a dense matrix's nonzeros."""
-        return self.entries() if self._entries is None else self._entries
 
     @classmethod
     def identity(cls, basis: Basis) -> "LinearOperator":
@@ -339,13 +327,23 @@ class LinearOperator(_Frozen):
         whole = (before, after) == (1, 1)
         target = self.target if whole else VectorBasis(before * self.target.size * after)
         _check_keys(target.size, x.source.size)
-        rows, cols, vals = x._triples()
-        a_rows, a_cols, a_vals = self._triples()
+        rows, cols, vals = x.entries()
+        a_rows, a_cols, a_vals = self.entries()
         head, tail = np.divmod(rows, after)
         head, slot = np.divmod(head, self.source.size)
         i, j = _join(slot, a_cols)
-        rows = (head[i] * self.target.size + a_rows[j]) * after + tail[i]
-        return LinearOperator._from_triples(x.source, target, rows, cols[i], vals[i] * a_vals[j])
+        # the key ((head * |target| + a_row) * after + tail) * n_cols + col, in place
+        keys = head[i]
+        keys *= self.target.size
+        keys += a_rows[j]
+        keys *= after
+        keys += tail[i]
+        keys *= x.source.size
+        keys += cols[i]
+        vals = vals[i]
+        vals *= a_vals[j]
+        del head, tail, slot, i, j
+        return LinearOperator._merge(x.source, target, keys, vals)
 
     def swap(self, left: int, right: int, after: int = 1) -> "LinearOperator":
         """(1 (x) sigma (x) 1_after) self, sigma exchanging the adjacent target
@@ -361,7 +359,7 @@ class LinearOperator(_Frozen):
         rows = rows + (b * (left - 1) - a * (right - 1)) * after
         pair = isinstance(t, TensorBasis) and (t.left.size, t.right.size) == (left, right)
         target = TensorBasis(t.right, t.left) if pair else VectorBasis(t.size)
-        return LinearOperator.from_entries(self.source, target, rows, cols, vals)
+        return LinearOperator._merge(self.source, target, _keys(rows, cols, self.source.size), vals)
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if other.target != self.source:
@@ -374,23 +372,23 @@ class LinearOperator(_Frozen):
 
     @property
     def T(self) -> "LinearOperator":
-        """The transpose, with rows and columns of the triples exchanged."""
-        rows, cols, vals = self._triples()
-        return LinearOperator._from_triples(self.target, self.source, cols, rows, vals)
+        """The transpose, with rows and columns of the entries exchanged."""
+        rows, cols, vals = self.entries()
+        return LinearOperator._merge(self.target, self.source, _keys(cols, rows, self.target.size), vals)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        """The difference, on self's bases, merged; other's bases need only the
-        same sizes, so tensor factors may be grouped differently."""
+        """The difference, on self's bases; other's bases need only the same
+        sizes, so tensor factors may be grouped differently."""
         if (self.target.size, self.source.size) != (other.target.size, other.source.size):
             raise ValueError(f"operator shapes differ: {self} vs {other}")
         n_cols = self.source.size
-        (rows, cols, vals), (o_rows, o_cols, o_vals) = self._triples(), other._triples()
-        entries, _ = _merge(
+        (rows, cols, vals), (o_rows, o_cols, o_vals) = self.entries(), other.entries()
+        return LinearOperator._merge(
+            self.source,
+            self.target,
             np.concatenate([_keys(rows, cols, n_cols), _keys(o_rows, o_cols, n_cols)]),
             np.concatenate([vals, -o_vals]),
-            n_cols,
         )
-        return LinearOperator._from_triples(self.source, self.target, *entries, merged=True)
 
     def __call__(self, value):
         """Apply to a Distribution or a raw coordinate vector; the result is

@@ -41,8 +41,9 @@ equations on the shipped maps (Delta, nabla, e, m0, m2 and its inverse, rho,
 epsilon and codereliction), written with `LinearOperator`'s `act` (a tensor
 factor 1 (x) A (x) 1 on one slot), `swap` (sigma on two slots), `@`, `.T`
 and `-`.  These join or permute the (row, col, value) triples the maps are
-built from, so no dense structure map, Kronecker product or sigma matrix is
-built and the laws cost about as much as the maps they read.
+built from, and each result is merged when it is made (repeated pairs
+summed, zero sums dropped), so no dense structure map, Kronecker product or
+sigma matrix is built and the laws cost about as much as the maps they read.
 
 The multi-index laws check the index kernels the package runs, with numpy
 over whole tables: `multiindex-count` that `rank` numbers the rows of
@@ -171,8 +172,8 @@ def _max_abs(x) -> float:
 
 
 def _deviation(lhs, rhs) -> float:
-    """max |lhs - rhs|: over the merged entries of two operators, repeated
-    pairs summed, and elementwise for arrays and numbers."""
+    """max |lhs - rhs|: over the entries of the difference of two operators,
+    merged when it is made, and elementwise for arrays and numbers."""
     diff = lhs - rhs
     if isinstance(diff, xp.LinearOperator):
         diff = diff.entries()[2]

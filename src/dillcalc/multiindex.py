@@ -204,14 +204,19 @@ def _pair_tables(dim: int, max_degree: int, top_a: int, top_b: int):
     every alpha with |alpha| <= min(top_a, max_degree - db): the column of its
     parent beta - e_j, j = last beta, moved through the shift table, the weight
     times (alpha_j + beta_j) / beta_j from `factor`, exact since weights are
-    integers.  Only the previous degree's columns are kept.
+    integers.  Only the previous degree's columns are kept.  The pair count
+    is known before anything is built, and at 32 bytes a pair it is checked
+    against `series.BYTE_BUDGET`.
     """
-    src, factor = derivative_table(dim, min(max_degree, top_a + top_b))
-    parent, last = power_tree(dim, min(max_degree, top_a + top_b))
+    from .series import _check_bytes
+
     block = [degree_slice(dim, d) for d in range(max_degree + 1)]
     n = [r.stop - r.start for r in block]
     # block (da, db) follows the n[a] * count(min(top_b, max_degree - a)) pairs of each a < da
     off = np.cumsum([0] + [n[a] * block[min(top_b, max_degree - a)].stop for a in range(top_a + 1)])
+    _check_bytes(32 * int(off[-1]), f"a pair table of {off[-1]} pairs (dimension {dim}, degree {max_degree})")
+    src, factor = derivative_table(dim, min(max_degree, top_a + top_b))
+    parent, last = power_tree(dim, min(max_degree, top_a + top_b))
     ia, ib, ic = (np.empty(off[-1], dtype=np.int64) for _ in range(3))
     w = np.empty(off[-1], dtype=np.float64)
     cols, weights = np.arange(block[top_a].stop)[:, None], np.ones((block[top_a].stop, 1))

@@ -40,6 +40,8 @@ from . import multiindex as mi
 MAX_DEGREE = 8
 # entries of one coefficient table: 64 MiB of complex128
 SIZE_BUDGET = 2**22
+# bytes of one index or power table built on the way to a result: 1 GiB
+BYTE_BUDGET = 2**8 * SIZE_BUDGET
 # monomials computed per block of points in `evaluate_many`: 64 KiB,
 # under glibc's 128 KiB mmap threshold, so blocks reuse freed heap memory
 _POINT_BLOCK = 2**12
@@ -54,6 +56,15 @@ def _check_degree(degree: int) -> int:
     if degree > MAX_DEGREE:
         raise ValueError(f"truncation degree {degree} exceeds the global cap {MAX_DEGREE}")
     return degree
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before it is allocated, a table of `nbytes` bytes above BYTE_BUDGET."""
+    if nbytes > BYTE_BUDGET:
+        raise ValueError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB, over the table budget of "
+            f"{BYTE_BUDGET // 2**30} GiB"
+        )
 
 
 def _check_size(dom_dim: int, cod_dim: int, degree: int) -> int:
@@ -410,13 +421,16 @@ class TruncatedSeries(_Table):
         is one Cauchy product by g_j: the product triples sorted by target
         position, restricted to the nonzero entries of g_j and of the parents,
         summed with reduceat.  Only the triples kept for g_j are sorted,
-        stably, so they keep the order the full table would give them.
+        stably, so they keep the order the full table would give them.  The
+        table, 16 bytes an entry, is checked against BYTE_BUDGET first.
         """
-        n = self.codomain.dim
+        n, (_, n_cols) = self.codomain.dim, self.coeffs.shape
+        n_rows = mi.count_indices(n, self.degree)
+        _check_bytes(16 * n_rows * n_cols, f"the power table of {n_rows} x {n_cols} coefficients")
         parent, last = mi.power_tree(n, self.degree)
         (top,) = mi.top_degrees(self.domain.dim, self.coeffs)
         ia, ib, ic = mi.product_table(self.domain.dim, self.degree, self.degree, top)
-        table = np.zeros((len(parent), self.coeffs.shape[1]), dtype=np.complex128)
+        table = np.zeros((n_rows, n_cols), dtype=np.complex128)
         table[0, 0] = 1.0
         for j in range(n):
             keep = np.flatnonzero((self.coeffs[j] != 0)[ib])

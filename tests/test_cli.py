@@ -520,6 +520,41 @@ def test_wide_products_pair_only_the_degrees_their_operands_reach(tmp_path, prog
     assert got == want
 
 
+def _dirac(dim, x):
+    return "(dirac [" + " ".join([f"{x} 0"] * dim) + "] 8)"
+
+
+_G_C4_TO_C16 = "(series :dom 4 :cod 16 :deg 8 " + "{(1 0 0 0) -> 1 (1 1 0 0) -> 0.5}" * 16 + ")"
+
+
+@pytest.mark.parametrize(
+    "program,table",
+    [
+        (f"(conv {_dirac(16, 0.5)} {_dirac(16, 0.25)})", "a pair table of 76904685 pairs .* 2.29 GiB"),
+        (f"(conv {_dirac(20, 0.5)} {_dirac(20, 0.25)})", "a pair table of 377348994 pairs .* 11.25 GiB"),
+        (
+            f"(compose (series :dom 16 :cod 1 :deg 8 {{}}) {_G_C4_TO_C16})",
+            "the power table of 735471 x 495 coefficients needs 5.42 GiB",
+        ),
+    ],
+    ids=["conv-C16", "conv-C20", "compose-C4-C16"],
+)
+def test_tables_over_the_byte_budget_are_refused_before_they_are_built(tmp_path, program, table):
+    # each once exited 2 with a MemoryError under a 2 GiB limit
+    path = tmp_path / "big.dsl"
+    path.write_text(program + "\n")
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "dillcalc", "eval", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(f"error: line 1, col 1: {table}, over the table budget of 1 GiB\n", proc.stderr)
+
+
 def test_poly_compose_at_the_stall_size_is_a_recentring(tmp_path):
     # dense C^6 -> C^6 series at degree 8 with g(0) != 0: the power table of g
     # up to f's degree once asked for an 881 MiB block and exited 2 under a

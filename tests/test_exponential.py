@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dillcalc import exponential as xp
 from dillcalc import laws
@@ -545,7 +546,8 @@ def _random_operator(rng, source, target, entry_built):
 
 
 def _repeated_product(rng, source, target):
-    """An entry-built product in which every (row, col) pair is stored twice."""
+    """An entry-built product in which every (row, col) pair is the sum of
+    two products, stored once."""
 
     def full(source, target):
         rows, cols = np.divmod(np.arange(target.size * source.size), source.size)
@@ -554,8 +556,8 @@ def _repeated_product(rng, source, target):
 
     middle = xp.VectorBasis(2)
     op = full(middle, target) @ full(source, middle)
-    rows, cols, _ = op._entries  # as stored, before any read merges them
-    assert rows.size == 2 * len(set(zip(rows.tolist(), cols.tolist())))
+    rows, cols, _ = op.entries()
+    assert rows.size == len(set(zip(rows.tolist(), cols.tolist())))
     return op
 
 
@@ -598,6 +600,43 @@ def test_product_difference_and_transpose_match_dense(a_form, b_form):
     assert (a.T.source, a.T.target) == (v(4), v(3))
     np.testing.assert_array_equal(a.T.matrix, a.matrix.T)
     np.testing.assert_array_equal(a.T.T.matrix, a.matrix)
+
+
+def _assert_stored_merged(op):
+    rows, cols, vals = op.entries()
+    assert np.all(np.diff(rows * op.source.size + cols) > 0)
+    assert np.all(vals != 0)
+    assert not any(arr.flags.writeable for arr in (rows, cols, vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(FORMS),
+    st.sampled_from(FORMS),
+    st.tuples(*[st.integers(1, 3)] * 5),
+)
+def test_every_operator_result_is_stored_merged(seed, a_form, x_form, sizes):
+    # act, @, .T, swap and - of dense, entry-built and repeated-pair operands
+    # store merged entries that equal the dense oracle bit for bit
+    rng = np.random.default_rng(seed)
+    s, t, before, after, k = sizes
+    v = xp.VectorBasis
+    a = _operator_in_form(rng, v(s), v(t), a_form)
+    c = _operator_in_form(rng, v(s), v(t), x_form)
+    b = _operator_in_form(rng, v(k), v(s), x_form)
+    x = _operator_in_form(rng, v(k), v(before * s * after), x_form)
+    y = _operator_in_form(rng, v(k), v(before * s * t * after), x_form)
+    swapped = y.matrix.reshape(before, s, t, after, k).transpose(0, 2, 1, 3, 4).reshape(-1, k)
+    for got, want in (
+        (a.act(x, after=after), np.kron(np.kron(np.eye(before), a.matrix), np.eye(after)) @ x.matrix),
+        (a @ b, a.matrix @ b.matrix),
+        (a.T, a.matrix.T),
+        (y.swap(s, t, after=after), swapped),
+        (a - c, a.matrix - c.matrix),
+    ):
+        _assert_stored_merged(got)
+        np.testing.assert_array_equal(got.matrix, want)
 
 
 def test_dense_product_stays_dense():
@@ -726,7 +765,6 @@ def test_entry_built_maps_match_their_dense_matrix():
         assert mat.dtype == np.complex128
         assert mat.shape == (op.target.size, op.source.size)
         assert not mat.flags.writeable
-        assert op.matrix is mat, build
 
 
 def test_dense_operator_entries_and_copy():

@@ -6,8 +6,9 @@ exponent rows too.  Only `rank`, `unrank` and the shift table
 (`derivative_table`) read the rank formula's suffix sums and Pascal table,
 and series.py ranks only in `from_terms`.  The join of (row, col, value)
 triples lives in `LinearOperator` alone, and other modules read an operator's
-entries only as values.  Only the law harness's `run_law` measures a law's
-sides.  No module reads the environment.
+entries only as values.  A value's fields are written only while it is
+made.  Only the law harness's `run_law` measures a law's sides.  No module
+reads the environment.
 
 What a process loads: `import dillcalc` loads no submodule and no numpy, and
 its public names are found on first use.  The reader and formatter
@@ -277,6 +278,63 @@ def test_the_immutability_guard_sees_every_form(tmp_path):
     assert setattr_calls(snippet) == [("Other", "_set"), ("Curried", "__post_init__"), ()]
 
 
+def late_field_writes(path):
+    """(line, enclosing function) of every `_set` call in a file made
+    outside `__init__` and the classmethods: a write into a value after it
+    is made."""
+    found = []
+
+    def walk(node, making, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                made_here = child.name == "__init__" or any(
+                    _read(d) == "classmethod" for d in child.decorator_list
+                )
+                walk(child, made_here, child.name)
+                continue
+            if _called(child) == "_set" and not making:
+                found.append((child.lineno, name))
+            walk(child, making, name)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), False, None)
+    return found
+
+
+def test_a_value_is_complete_when_it_is_made():
+    # `_Frozen._set` runs only while a value is made, in its `__init__` or a
+    # constructor classmethod: no read fills a field in later
+    offenders = [
+        f"{path.name}:{line} in {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in late_field_writes(path)
+    ]
+    assert offenders == []
+
+
+def test_the_late_write_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "class Value(_Frozen):\n"
+        "    def __init__(self, x):\n"
+        "        self._set(x=x)\n"
+        "        def later():\n"
+        "            self._set(x=0)\n"
+        "    @classmethod\n"
+        "    def made(cls, x):\n"
+        "        op = cls.__new__(cls)\n"
+        "        op._set(x=x)\n"
+        "        return op\n"
+        "    @property\n"
+        "    def matrix(self):\n"
+        "        self._set(_matrix=0)\n"
+        "    @staticmethod\n"
+        "    def fill(op):\n"
+        "        op._set(x=1)\n"
+        "Value(1)._set(x=2)\n"
+    )
+    assert late_field_writes(snippet) == [(5, "later"), (13, "matrix"), (16, "fill"), (17, None)]
+
+
 def test_only_the_operator_module_joins_triples():
     # one sort-and-searchsorted join, behind LinearOperator
     offenders = [
@@ -291,7 +349,7 @@ def test_only_the_operator_module_joins_triples():
 
 def triple_reads(path):
     """Line numbers in a file of every read of an operator's rows and columns:
-    each `entries()` call not indexed [2] (the values), and each `_triples` read."""
+    each `entries()` call not indexed [2] (the values)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     values = {
         id(node.value)
@@ -303,7 +361,7 @@ def triple_reads(path):
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if (_called(node) == "entries" and id(node) not in values) or _read(node) == "_triples"
+        if _called(node) == "entries" and id(node) not in values
     )
 
 
@@ -324,11 +382,10 @@ def test_the_triple_guard_sees_every_form(tmp_path):
         "rows, cols, vals = op.entries()\n"
         "vals = op.entries()[2]\n"
         "rows = op.entries()[0]\n"
-        "triples = op._triples()\n"
         "def f(op):\n"
         "    return op.entries()\n"
     )
-    assert triple_reads(snippet) == [1, 3, 4, 6]
+    assert triple_reads(snippet) == [1, 3, 5]
 
 
 def environment_reads(path):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,26 @@ def test_size_budget_is_checked_before_allocating():
     rows = SIZE_BUDGET // mi.count_indices(2, 3) + 1
     with pytest.raises(ValueError, match="size budget"):
         TruncatedSeries.from_terms(2, rows, 3, {})
+
+
+def test_byte_budget_refuses_index_and_power_tables_before_building_them():
+    # a dense product on C^15 at degree 8 pairs 48.9 M index pairs, and !g of
+    # a C^8 -> C^8 series at degree 8 is a 12870 x 12870 power table
+    assert series.BYTE_BUDGET == 2**8 * SIZE_BUDGET == 2**30
+    g = TruncatedSeries.from_terms(8, 8, 8, {(0, (1,) + (0,) * 7): 1.0})
+    for build, table in (
+        (lambda: mi.convolution_table(15, 8), "a pair table of 48903492 pairs .* 1.46 GiB"),
+        (lambda: mi.product_table(15, 8, 8, 8), "a pair table of 48903492 pairs .* 1.46 GiB"),
+        (g.power_table, "the power table of 12870 x 12870 coefficients needs 2.47 GiB"),
+    ):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match=f"{table}, over the table budget of 1 GiB"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20, table
+    # 32 bytes a pair: C^14's 30.3 M pairs are under the budget
+    assert 32 * mi.count_indices(28, 8) <= series.BYTE_BUDGET < 32 * mi.count_indices(30, 8)
 
 
 @settings(max_examples=40, deadline=None)
