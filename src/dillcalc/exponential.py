@@ -342,7 +342,7 @@ class LinearOperator(_Frozen):
         keys += cols[i]
         vals = vals[i]
         vals *= a_vals[j]
-        del head, tail, slot, i, j
+        del head, tail, slot, i, j  # freed before the merge sorts
         return LinearOperator._merge(x.source, target, keys, vals)
 
     def swap(self, left: int, right: int, after: int = 1) -> "LinearOperator":
