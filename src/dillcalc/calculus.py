@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 
-from . import exponential as xp
 from . import multiindex as mi
 from . import multilinear as ml
 from .series import (
@@ -48,17 +47,6 @@ def _composable(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool):
     if constant_inner and not outer_polynomial:
         raise ValueError("constant term requires polynomial outer series")
     return deg, g, constant_inner
-
-
-def _finite_result(op: str, value):
-    """`value`, or one `<op>: result is outside the float range` error if a
-    number it stores is not finite: the overflow rule of the term language
-    and the CLI.  An operator is read through its stored entries."""
-    stored = value.entries()[2] if isinstance(value, xp.LinearOperator) else value
-    stored = getattr(stored, "coeffs", stored)
-    if not np.isfinite(stored).all():
-        raise ValueError(f"{op}: result is outside the float range")
-    return value
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries, outer_polynomial: bool = False) -> TruncatedSeries:

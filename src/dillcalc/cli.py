@@ -9,7 +9,8 @@ import, read, compute and write stages.
 A subcommand imports what it computes with when it runs, and nothing is
 imported before: fmt, and eval of a program that does not parse, load only
 the standard-library reader (dillcalc.syntax); eval then loads the evaluator
-and numpy, compose, curry and diff the calculus, check-laws the law harness.
+and numpy, and so do compose, curry and diff, which apply the term language's
+op of the same name to series JSON files; check-laws loads the law harness.
 """
 
 from __future__ import annotations
@@ -72,30 +73,12 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _read_series(path: str):
-    from .series import TruncatedSeries
-
-    return TruncatedSeries.from_json(_read_text(path))
-
-
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text + "\n")
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-
-
-def _finite(run: _Run, command: str, compute):
-    """compute() as the compute stage, with an overflow reported as one error
-    line naming the command (the term language's rule), not as numpy warnings
-    followed by a JSON error."""
-    import numpy as np
-
-    from .calculus import _finite_result
-
-    with run.stage("compute"), np.errstate(over="ignore", invalid="ignore"):
-        return _finite_result(command, compute())
 
 
 def _cmd_eval(args, run: _Run) -> int:
@@ -122,37 +105,19 @@ def _cmd_fmt(args, run: _Run) -> int:
     return 0
 
 
-def _cmd_compose(args, run: _Run) -> int:
-    (ca,) = run.load("calculus")
+def _cmd_series(args, run: _Run) -> int:
+    """compose, curry and diff: the term language's op of the same name on
+    the series JSON files, with the --split or --coord integer after them."""
+    (dsl,) = run.load("dsl")
     with run.stage("read"):
-        f = _read_series(args.outer)
-        g = _read_series(args.inner)
-    h = _finite(run, "compose", lambda: ca.compose(f, g, outer_polynomial=args.poly))
+        values = [dsl.TruncatedSeries.from_json(_read_text(path)) for path in args.series]
+    if args.index is not None:
+        values.append(args.index)
+    kwargs = {"outer_polynomial": True} if args.poly else {}
+    with run.stage("compute"):
+        result = dsl.apply_op(args.command, *values, **kwargs)
     with run.stage("write"):
-        _write_out(h.to_json(), args.output)
-    return 0
-
-
-def _cmd_curry(args, run: _Run) -> int:
-    (ca,) = run.load("calculus")
-    with run.stage("read"):
-        f = _read_series(args.series)
-    c = _finite(run, "curry", lambda: ca.curry(f, args.split))
-    with run.stage("write"):
-        _write_out(c.to_json(), args.output)
-    return 0
-
-
-def _cmd_diff(args, run: _Run) -> int:
-    (ca,) = run.load("calculus")
-    with run.stage("read"):
-        f = _read_series(args.series)
-    if args.coord is not None:
-        d = _finite(run, "diff", lambda: f.partial_derivative(args.coord))
-    else:
-        d = _finite(run, "diff", lambda: ca.derivative_series(f))
-    with run.stage("write"):
-        _write_out(d.to_json(), args.output)
+        _write_out(result.to_json(), args.output)
     return 0
 
 
@@ -184,6 +149,17 @@ def _cmd_check_laws(args, run: _Run) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _series_command(sub, name: str, about: str, files, flag: str, **option) -> None:
+    """A subcommand that applies the term-language op `name` to the series
+    JSON files named by the positionals `files`: one option of its own, then -o."""
+    p = sub.add_parser(name, help=about)
+    for metavar in files:
+        p.add_argument("series", action="append", metavar=metavar)
+    p.add_argument(flag, **option)
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=_cmd_series, index=None, poly=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dillcalc", description=__doc__)
     parser.add_argument(
@@ -200,24 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="term file, or - for stdin")
     p.set_defaults(func=_cmd_fmt)
 
-    p = sub.add_parser("compose", help="compose two series given as JSON files (outer inner)")
-    p.add_argument("outer")
-    p.add_argument("inner")
-    p.add_argument("--poly", action="store_true", help="allow a constant term in the inner series")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("curry", help="curry a series JSON file at a domain split")
-    p.add_argument("series")
-    p.add_argument("--split", type=int, required=True, help="leading coordinates to pull out")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_curry)
-
-    p = sub.add_parser("diff", help="differentiate a series JSON file")
-    p.add_argument("series")
-    p.add_argument("--coord", type=int, default=None, help="single coordinate instead of all")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_diff)
+    _series_command(
+        sub, "compose", "compose two series given as JSON files (outer inner)", ("outer", "inner"),
+        "--poly", action="store_true", help="allow a constant term in the inner series",
+    )
+    _series_command(
+        sub, "curry", "curry a series JSON file at a domain split", ("series",),
+        "--split", type=int, required=True, dest="index", metavar="SPLIT",
+        help="leading coordinates to pull out",
+    )
+    _series_command(
+        sub, "diff", "differentiate a series JSON file", ("series",),
+        "--coord", type=int, dest="index", metavar="COORD", help="single coordinate instead of all",
+    )
 
     p = sub.add_parser("check-laws", help="run the law suite")
     p.add_argument("--dim", type=int, default=2)

@@ -23,7 +23,8 @@ distribution or coordinate vector.  `let` is only allowed at the top level.
 Errors: an argument of the wrong kind is an EvalError at that argument, for
 add and scale too.  A calculus error (a ValueError), such as adding a series
 to a distribution, and a result that leaves the float range are an EvalError
-at the form that raised it, and nowhere else.
+at the form that raised it, and nowhere else.  The CLI's compose, curry and
+diff apply their op to series read from JSON through `apply_op` too.
 """
 
 from __future__ import annotations
@@ -190,27 +191,44 @@ def evaluate_term(node: Node, env: Optional[Dict[str, Value]] = None) -> Value:
     head = node.items[0]
     if not isinstance(head, Sym):
         raise EvalError("a form starts with an operation name", *_loc(node))
-    op = head.name
-    # a calculus error or an overflow is reported at the form where it
-    # happens, not as a numpy warning followed by a JSON error far from its
-    # source; an EvalError from a nested form already carries its location
+    # a calculus error or an overflow (`apply_op`) is reported at the form
+    # where it happens; an EvalError from a nested form already carries its
+    # location
+    try:
+        return _evaluate_form(node, head.name, node.items[1:], env)
+    except EvalError:
+        raise
+    except ValueError as exc:
+        raise EvalError(str(exc), *_loc(node)) from exc
+
+
+def _finite_result(op: str, value):
+    """`value`, or one `<op>: result is outside the float range` error if a
+    number it stores (an operator: its stored entries) is not finite."""
+    stored = value.entries()[2] if isinstance(value, xp.LinearOperator) else value
+    stored = getattr(stored, "coeffs", stored)
+    if not np.isfinite(stored).all():
+        raise ValueError(f"{op}: result is outside the float range")
+    return value
+
+
+def apply_op(op: str, *values, **kwargs) -> Value:
+    """The `_OPS` row `op` (eval: the `_EVAL` row of the first value's type)
+    applied to evaluated values under the overflow rule: a non-finite result
+    is one ValueError naming `op`, not numpy warnings and a JSON error."""
+    fn = _EVAL[type(values[0])][1][0] if op == "eval" else _OPS[op][0]
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return ca._finite_result(op, _apply_op(node, op, node.items[1:], env))
-        except EvalError:
-            raise
-        except ValueError as exc:
-            raise EvalError(str(exc), *_loc(node)) from exc
+        return _finite_result(op, fn(*values, **kwargs))
 
 
-def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
+def _evaluate_form(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
     if op == "let":
         raise EvalError("let is only allowed at the top level", *_loc(node))
 
     if op == "series":
-        return _eval_series_literal(node, args)
+        return _eval_series_literal(node, args)  # the reader refuses non-finite numbers
 
-    values, kwargs = [], {}
+    values, kwargs, name = [], {}, op
     if op == "eval":
         if not args:
             raise EvalError("eval expects at least 2 arguments", *_loc(node))
@@ -219,19 +237,19 @@ def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
             raise EvalError(
                 "eval applies a series, curried series, distribution or operator", *_loc(node)
             )
-        what, (fn, specs, required) = _EVAL[type(target)]
-        op, args, values = f"eval of {what}", args[1:], [target]
+        what, (_, specs, required) = _EVAL[type(target)]
+        name, args, values = f"eval of {what}", args[1:], [target]
     else:
         if op == "compose" and args and args[-1] == Sym(":poly"):
             args, kwargs = args[:-1], {"outer_polynomial": True}
         if op not in _OPS:
             raise EvalError(f"unknown operation {op!r}", *_loc(node))
-        fn, specs, required = _OPS[op]
-    _arity(args, required, len(specs), op, node)
+        _, specs, required = _OPS[op]
+    _arity(args, required, len(specs), name, node)
     # a plain loop, so a nested argument costs two frames (this one and
     # evaluate_term's) and MAX_NESTING levels stay inside the recursion limit
     for (role, (what, types)), arg in zip(specs, args):
-        message = f"{op} expects {what} as its {role}"
+        message = f"{name} expects {what} as its {role}"
         if types is None:
             values.append(_want_int(arg, message))
             continue
@@ -239,7 +257,7 @@ def _apply_op(node: ListForm, op: str, args, env: Dict[str, Value]) -> Value:
         if not isinstance(value, types):
             raise EvalError(message, *_loc(arg))
         values.append(value)
-    return fn(*values, **kwargs)
+    return apply_op(op, *values, **kwargs)
 
 
 def _eval_series_literal(node: ListForm, args) -> TruncatedSeries:

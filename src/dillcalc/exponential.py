@@ -36,7 +36,7 @@ import numpy as np
 from . import multiindex as mi
 from .series import (
     FiniteSpace, TruncatedSeries, _check_degree, _check_index_dim, _check_size, _Frozen, _frozen,
-    _json_coeffs, _json_header, _json_terms, _monomials_at, _Table,
+    _json_coeffs, _json_header, _json_terms, _monomials_at, _scatter_products, _Table,
 )
 
 
@@ -145,8 +145,7 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
         raise ValueError("distribution shapes differ: cannot convolve")
     tops = mi.top_degrees(d1.dim, d1.coeffs, d2.coeffs)
     ia, ib, ic, w = mi.convolution_table(d1.dim, d1.degree, *tops)
-    out = np.zeros_like(d1.coeffs)
-    np.add.at(out, ic, w * d1.coeffs[ia] * d2.coeffs[ib])
+    out = _scatter_products(len(d1.coeffs), ic, d1.coeffs, ia, d2.coeffs, ib, w)
     return Distribution(d1.dim, d1.degree, out)
 
 

@@ -303,11 +303,13 @@ def split_table(dim_a: int, dim_b: int, max_degree: int):
 def power_tree(dim: int, max_degree: int):
     """(parent, last) over the graded positions up to max_degree: each beta
     but the root is parent[beta] + e_j, j = last[beta] its last nonzero
-    coordinate; the root reads (0, 0).  The largest code j * width + t of a
-    shift alpha_t + e_j = beta names that j: `np.maximum.at` takes it, where
-    fancy assignment leaves which of several repeated writes wins undefined."""
+    coordinate; the root reads (0, 0).  Row j of the shift table sends
+    alpha_t to alpha_t + e_j, and no two alpha_t to one beta, so writing the
+    rows in ascending j leaves at beta the shift of its last nonzero j."""
     src, _ = derivative_table(dim, max_degree)
-    code = np.zeros(count_indices(dim, max_degree), dtype=np.int64)
-    np.maximum.at(code, src, np.arange(src.size).reshape(src.shape))
-    last, parent = divmod(code, max(src.shape[1], 1))
+    parent, last = (np.zeros(count_indices(dim, max_degree), dtype=np.int64) for _ in range(2))
+    shifts = np.arange(src.shape[1])
+    for j, row in enumerate(src):
+        parent[row] = shifts
+        last[row] = j
     return _frozen(parent, last)

@@ -25,7 +25,7 @@ class SymmetricMultilinear(series._Frozen):
     __slots__ = ("arity", "domain", "codomain", "entries")
 
     def __init__(self, arity: int, domain: FiniteSpace, codomain: FiniteSpace, entries):
-        if not 0 <= arity <= series.MAX_DEGREE:  # apply multiplies series of degree arity
+        if not 0 <= arity <= series.MAX_DEGREE:  # apply reads the shift table of degree arity
             raise ValueError(f"arity {arity} outside 0..{series.MAX_DEGREE}")
         block = mi.degree_slice(domain.dim, arity)
         arr = series._frozen(entries, (codomain.dim, block.stop - block.start), "entry table")

@@ -45,6 +45,24 @@ BYTE_BUDGET = 2**8 * SIZE_BUDGET
 # monomials computed per block of points in `evaluate_many`: 64 KiB,
 # under glibc's 128 KiB mmap threshold, so blocks reuse freed heap memory
 _POINT_BLOCK = 2**12
+# pairs of a pair table whose products `_scatter_products` forms at once:
+# 16 MiB of complex128 a temporary
+_PAIR_BLOCK = 2**20
+
+
+def _scatter_products(size: int, ic, a, ia, b, ib, weight=None) -> np.ndarray:
+    """out[ic] += weight * a[ia] * b[ib] on `size` complex zeros, `_PAIR_BLOCK`
+    pairs at a time: a whole table's products take up to 48 bytes a pair
+    beside the 32 the byte budget counts.  `np.add.at` adds in table order,
+    so the sums are those of one call; one expression lets numpy multiply
+    into its temporary in place, a complex loop that rounds unlike the one
+    writing a fresh array."""
+    out = np.zeros(size, dtype=np.complex128)
+    for start in range(0, len(ic), _PAIR_BLOCK):
+        t = slice(start, start + _PAIR_BLOCK)
+        vals = a[ia[t]] * b[ib[t]] if weight is None else weight[t] * a[ia[t]] * b[ib[t]]
+        np.add.at(out, ic[t], vals)
+    return out
 
 
 def _check_degree(degree: int) -> int:
@@ -406,8 +424,7 @@ class TruncatedSeries(_Table):
         a = self.truncate(deg).coeffs[0]
         b = other.truncate(deg).coeffs[0]
         ia, ib, ic = mi.product_table(self.domain.dim, deg, *mi.top_degrees(self.domain.dim, a, b))
-        out = np.zeros(mi.count_indices(self.domain.dim, deg), dtype=np.complex128)
-        np.add.at(out, ic, a[ia] * b[ib])
+        out = _scatter_products(mi.count_indices(self.domain.dim, deg), ic, a, ia, b, ib)
         return TruncatedSeries(self.domain, FiniteSpace(1), deg, out[None, :])
 
     def power_table(self) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dillcalc import calculus as ca
-from dillcalc import laws
+from dillcalc import dsl, laws
 from dillcalc import multiindex as mi
 from dillcalc.cli import main
 from dillcalc.series import FiniteSpace, TruncatedSeries
@@ -321,14 +321,29 @@ def test_curried_series_are_immutable_values():
     assert repr(c) == "CurriedSeries(C^1 x C^2 -> C^1, degree 2, 1 nonzero coefficients)"
 
 
-def test_curried_json_is_the_curry_command_output(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "args,term",
+    [
+        (["compose", "f.json", "g.json"], "(compose f g)"),
+        (["compose", "f.json", "c.json", "--poly"], "(compose f c :poly)"),
+        *((["curry", "h.json", "--split", str(k)], f"(curry h {k})") for k in range(1, 6)),
+        (["diff", "h.json"], "(diff h)"),
+        (["diff", "h.json", "--coord", "4"], "(diff h 4)"),
+    ],
+    ids=["compose", "compose-poly", *(f"curry-{k}" for k in range(1, 6)), "diff", "diff-coord"],
+)
+def test_series_commands_print_the_term_language_op(tmp_path, capsys, args, term):
+    # compose, curry and diff are rows of the term language: each prints the
+    # JSON of the op of its name on the same series
     rng = np.random.default_rng(6)
-    f = normal_series(rng, 6, 1, 6)
-    path = tmp_path / "f.json"
-    path.write_text(f.to_json())
-    for split in range(1, 6):
-        assert main(["curry", str(path), "--split", str(split)]) == 0
-        assert capsys.readouterr().out == ca.curry(f, split).to_json() + "\n"
+    env = {"h": normal_series(rng, 6, 1, 6), "f": normal_series(rng, 3, 1, 4)}
+    env["c"] = normal_series(rng, 2, 3, 4)
+    env["g"] = env["c"] - env["c"].homogeneous_part(0)
+    for name, value in env.items():
+        (tmp_path / f"{name}.json").write_text(value.to_json())
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == dsl.evaluate_term(dsl.parse(term), env).to_json() + "\n"
 
 
 def test_uncurry_type_check():

@@ -115,6 +115,46 @@ def test_convolution_unit():
     np.testing.assert_allclose(xp.convolve(d, unit).coeffs, d.coeffs)
 
 
+# dense operands on C^14 at degree 8, whose pair table (30 260 340 pairs,
+# 0.90 GiB) the byte budget admits; all coefficients 1, so the results are
+# exact integers: 2^|gamma| for the diracs at (1, ..., 1), and the number
+# prod_i (gamma_i + 1) of ways to split gamma for the product
+_C14_PRODUCTS = {
+    "conv": (
+        "d = xp.dirac(np.ones(14), 8)\n"
+        "got = xp.convolve(d, d).coeffs\n"
+        "want = 2.0 ** mi.degree_vector(14, 8)\n"
+    ),
+    "mul": (
+        "f = TruncatedSeries.from_arrays(14, 1, 8, np.ones((1, mi.count_indices(14, 8))))\n"
+        "got = f.pointwise_multiply(f).coeffs[0]\n"
+        "want = np.prod(mi.exponent_matrix(14, 8) + 1, axis=1)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_C14_PRODUCTS))
+def test_dense_c14_products_fit_in_2_gib(kind):
+    # forming every pair's product at once once took 1.5 GB of temporaries
+    # beside the table and exited with a MemoryError under a 2 GiB limit
+    program = (
+        "import numpy as np\n"
+        "from dillcalc import exponential as xp, multiindex as mi\n"
+        "from dillcalc.series import TruncatedSeries\n"
+        + _C14_PRODUCTS[kind]
+        + "print(got.size, np.array_equal(got, want))\n"
+    )
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "319770 True\n")
+
+
 def test_distribution_shape_checks():
     with pytest.raises(ValueError, match="length"):
         xp.Distribution(2, 2, np.ones(4))

@@ -6,9 +6,11 @@ exponent rows too.  Only `rank`, `unrank` and the shift table
 (`derivative_table`) read the rank formula's suffix sums and Pascal table,
 and series.py ranks only in `from_terms`.  The join of (row, col, value)
 triples lives in `LinearOperator` alone, and other modules read an operator's
-entries only as values.  A value's fields are written only while it is
-made.  Only the law harness's `run_law` measures a law's sides.  No module
-reads the environment.
+entries only as values.  The CLI names no calculus kernel: its series
+subcommands apply the term language's ops, whose overflow rule is defined in
+`dsl.py` alone.  A value's fields are written only while it is made.  Only
+the law harness's `run_law` measures a law's sides.  No module reads the
+environment.
 
 What a process loads: `import dillcalc` loads no submodule and no numpy, and
 its public names are found on first use.  The reader and formatter
@@ -219,15 +221,15 @@ def _defined(node):
     return None
 
 
-def setattr_definitions(path):
-    """The enclosing names of every definition of `__setattr__` in a file."""
-    return [stack for name, stack in enclosed(path, _defined) if name == "__setattr__"]
+def definitions(path, name):
+    """The enclosing names of every definition of `name` in a file."""
+    return [stack for found, stack in enclosed(path, _defined) if found == name]
 
 
 def test_one_base_makes_values_immutable():
     # series, distributions, multilinear maps and operators refuse writes
     # through the one base in series.py
-    definers = {path.name: setattr_definitions(path) for path in sorted(SRC.glob("*.py"))}
+    definers = {path.name: definitions(path, "__setattr__") for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in definers.items() if found} == {
         "series.py": [("_Frozen", "__setattr__")]
     }
@@ -274,7 +276,7 @@ def test_the_immutability_guard_sees_every_form(tmp_path):
         "        super().__setattr__('table', 0)\n"
         "object.__setattr__(Value(), 'x', 1)\n"
     )
-    assert setattr_definitions(snippet) == [("Value", "__setattr__"), ("Other",)]
+    assert definitions(snippet, "__setattr__") == [("Value", "__setattr__"), ("Other",)]
     assert setattr_calls(snippet) == [("Other", "_set"), ("Curried", "__post_init__"), ()]
 
 
@@ -333,6 +335,45 @@ def test_the_late_write_guard_sees_every_form(tmp_path):
         "Value(1)._set(x=2)\n"
     )
     assert late_field_writes(snippet) == [(5, "later"), (13, "matrix"), (16, "fill"), (17, None)]
+
+
+CALCULUS_KERNELS = ("compose", "curry", "uncurry", "partial_derivative", "derivative_series")
+
+
+def kernel_reads(path):
+    """(line, name) of every read in a file of a calculus kernel that the
+    term language's op table names."""
+    return sorted((line, name) for name in CALCULUS_KERNELS for line in name_reads(path, name))
+
+
+def test_the_cli_applies_the_term_language():
+    # compose, curry and diff apply the op table under the overflow rule, so
+    # a change to an op is made once and the rule has one home
+    assert kernel_reads(SRC / "cli.py") == []
+    definers = {p.name: definitions(p, "_finite_result") for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in definers.items() if found} == {
+        "dsl.py": [("_finite_result",)]
+    }
+
+
+def test_the_kernel_guard_sees_every_form(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(
+        "from .calculus import curry, _finite_result\n"
+        "def _cmd_diff(args, run):\n"
+        "    (ca,) = run.load('calculus')\n"
+        "    if args.coord is not None:\n"
+        "        return f.partial_derivative(args.coord)\n"
+        "    return _finite_result('diff', ca.derivative_series(f))\n"
+        "def _finite_result(op, value):\n"
+        "    return value\n"
+        "run = compose\n"
+        "sub.add_parser('uncurry')\n"
+    )
+    assert kernel_reads(snippet) == [
+        (1, "curry"), (5, "partial_derivative"), (6, "derivative_series"), (9, "compose")
+    ]
+    assert definitions(snippet, "_finite_result") == [("_finite_result",)]
 
 
 def test_only_the_operator_module_joins_triples():

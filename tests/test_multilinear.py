@@ -259,8 +259,8 @@ def test_arity_cap():
         with pytest.raises(ValueError, match="arity 5 exceeds the series degree 3"):
             route(TruncatedSeries.zero(1, 1, 3), 5)
         assert route(TruncatedSeries.zero(1, 1, 3), 3).arity == 3
-    # a form built by hand obeys the same cap, since apply multiplies series
-    # of degree arity; arity 9 once built and failed only in apply
+    # a form built by hand obeys the same cap, since apply reads the shift
+    # table of degree arity; arity 9 once built and failed only in apply
     for arity in (-1, series.MAX_DEGREE + 1):
         with pytest.raises(ValueError, match=f"arity {arity} outside 0..{series.MAX_DEGREE}"):
             ml.SymmetricMultilinear(arity, FiniteSpace(1), FiniteSpace(1), [[1.0]])
